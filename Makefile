@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: ci vet lint build test race determinism serve-smoke chaos chaos-fleet chaos-cache fuzz bench bench-smoke benchjson bench-compare clean
+.PHONY: ci vet lint build test race perfbench-test determinism serve-smoke chaos chaos-fleet chaos-cache fuzz bench bench-smoke benchjson bench-compare clean
 
-ci: vet lint build race determinism serve-smoke chaos-fleet chaos-cache bench-compare
+ci: vet lint build race perfbench-test determinism serve-smoke chaos-fleet chaos-cache bench-compare
 
 vet:
 	$(GO) vet ./...
@@ -32,14 +32,22 @@ test:
 race:
 	$(GO) test -race ./...
 
+# perfbench/ is its own Go module (it replaces rsnrobust with this
+# checkout), so `go test ./...` above never reaches it. The environment
+# matches perfbench/run.sh: no workspace, no proxy, the local toolchain.
+perfbench-test:
+	cd perfbench && GOFLAGS= GOWORK=off GOPROXY=off GOTOOLCHAIN=local $(GO) test ./...
+
 # Determinism gate: identical fronts, picks and evaluation counts at
 # every worker count, scheduler job count, island count, with the
 # evaluation cache on or off, with incremental (delta) evaluation
 # against the full-evaluation oracle, across checkpoint/resume
 # boundaries, and under injected faults. WorkerInvariance also matches
-# the island-count invariance matrix (islands x workers).
+# the island-count invariance matrix (islands x workers). SelectionOracle
+# matches the read-driven two-objective selection against the full
+# fitness assignment and pairwise truncation, at one and three workers.
 determinism:
-	$(GO) test -run 'WorkerDeterminism|WorkerInvariance|RunSetDeterminism|MemoOracle|DeltaOracle|ResumeEquivalence|ChaosGraceful' ./internal/core ./internal/moea ./internal/chaos ./cmd/rsnharden
+	$(GO) test -run 'WorkerDeterminism|WorkerInvariance|RunSetDeterminism|MemoOracle|DeltaOracle|ResumeEquivalence|ChaosGraceful|SelectionOracle' ./internal/core ./internal/moea ./internal/chaos ./cmd/rsnharden
 
 # Service smoke gate: boot rsnserve on a loopback port and drive the
 # end-to-end battery (analyze, harden, cache hit, deadline truncation,

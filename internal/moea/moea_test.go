@@ -1,8 +1,10 @@
 package moea
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -284,6 +286,24 @@ func TestSeedsEnterInitialPopulation(t *testing.T) {
 }
 
 func TestTruncateKeepsCapacityAndExtremes(t *testing.T) {
+	// keepsExtremes reports whether out holds a minimum of every
+	// objective of set.
+	keepsExtremes := func(set, out []Individual) bool {
+		for k := 0; k < 2; k++ {
+			lo, kept := math.Inf(1), math.Inf(1)
+			for i := range set {
+				lo = min(lo, set[i].Obj[k])
+			}
+			for i := range out {
+				kept = min(kept, out[i].Obj[k])
+			}
+			if kept != lo {
+				return false
+			}
+		}
+		return true
+	}
+	// Pairwise truncation of arbitrary sets.
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 20 + rng.Intn(60)
@@ -293,11 +313,81 @@ func TestTruncateKeepsCapacityAndExtremes(t *testing.T) {
 		}
 		capacity := 5 + rng.Intn(10)
 		out := truncate(append([]Individual(nil), set...), capacity, 2, new(selScratch))
-		return len(out) == capacity
+		return len(out) == capacity && keepsExtremes(set, out)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+	// The chain walk against the pairwise truncation on nondominated
+	// chains with exact duplicates: same survivors in the same order.
+	var ss selScratch
+	chainCheck := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		set := randomChain(rng, 2+rng.Intn(600))
+		q := len(set)
+		capacity := 1 + rng.Intn(q)
+		want := truncate(append([]Individual(nil), set...), capacity, 2, new(selScratch))
+		obj0, obj1 := make([]float64, q), make([]float64, q)
+		ids, chain := make([]int32, q), make([]int32, q)
+		for i := range set {
+			obj0[i], obj1[i] = set[i].Obj[0], set[i].Obj[1]
+			ids[i], chain[i] = int32(i), int32(i)
+		}
+		slices.SortFunc(chain, func(a, b int32) int {
+			if c := cmp.Compare(obj0[a], obj0[b]); c != 0 {
+				return c
+			}
+			return cmp.Compare(obj1[a], obj1[b])
+		})
+		got := truncate2(obj0, obj1, ids, chain, capacity, &ss)
+		if len(got) != len(want) || len(got) != capacity {
+			t.Logf("seed %d: n %d capacity %d: chain keeps %d, pairwise %d", seed, q, capacity, len(got), len(want))
+			return false
+		}
+		for i := range got {
+			if set[got[i]].G[0] != want[i].G[0] {
+				t.Logf("seed %d: n %d capacity %d: survivor %d differs", seed, q, capacity, i)
+				return false
+			}
+		}
+		return capacity < 2 || keepsExtremes(set, want)
+	}
+	if err := quick.Check(chainCheck, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// randomChain returns a shuffled two-objective nondominated set of n
+// points over a random number of distinct ones — continuous or on an
+// integer grid — each individual tagged by its index in G[0].
+func randomChain(rng *rand.Rand, n int) []Individual {
+	distinct := 1 + rng.Intn(n)
+	xs, ys := make([]float64, distinct), make([]float64, distinct)
+	grid := rng.Intn(2) == 0
+	for i := range xs {
+		if grid {
+			xs[i], ys[i] = float64(rng.Intn(4*distinct)), float64(rng.Intn(4*distinct))
+		} else {
+			xs[i], ys[i] = rng.Float64(), rng.Float64()*1e3
+		}
+	}
+	slices.Sort(xs)
+	slices.Sort(ys)
+	xs, ys = slices.Compact(xs), slices.Compact(ys)
+	distinct = min(len(xs), len(ys))
+	set := make([]Individual, n)
+	for i := range set {
+		p := i
+		if i >= distinct {
+			p = rng.Intn(distinct)
+		}
+		set[i] = Individual{Obj: []float64{xs[p], ys[len(ys)-1-p]}}
+	}
+	rng.Shuffle(n, func(i, j int) { set[i], set[j] = set[j], set[i] })
+	for i := range set {
+		set[i].G = Genome{uint64(i)}
+	}
+	return set
 }
 
 func TestEnvironmentalSelectionFillsUnderfullArchive(t *testing.T) {

@@ -64,14 +64,12 @@ type Individual struct {
 	G   Genome
 	Obj []float64
 	// fitness is algorithm-specific scratch (SPEA-2 F(i), NSGA-II rank).
+	// Two-objective SPEA-2 sets it, and density, only on the individuals
+	// that survive into the archive.
 	fitness float64
 	// density is algorithm-specific scratch (crowding / k-NN density).
 	density float64
 }
-
-// Fitness returns the algorithm-specific fitness of the individual as of
-// the last generation it was evaluated in (informational).
-func (in *Individual) Fitness() float64 { return in.fitness }
 
 // CrossoverKind selects the recombination operator.
 type CrossoverKind uint8

@@ -108,8 +108,12 @@ func newSPEA2Run(e *engine) (*spea2Run, int, error) {
 func (r *spea2Run) selectPhase(gen int) error {
 	e := r.e
 	union := e.unionInto(r.pop, r.archive)
-	assignFitness(union, e.m, e.exec.Workers(), &e.fit)
-	r.archive = environmentalSelection(union, e.par.Archive, e.m, &e.sel)
+	if e.m == 2 {
+		r.archive = select2(union, e.par.Archive, e.exec.Workers(), &e.fit, &e.sel)
+	} else {
+		assignFitness(union, e.m, e.exec.Workers(), &e.fit)
+		r.archive = environmentalSelection(union, e.par.Archive, e.m, &e.sel)
+	}
 	r.lastUnion = union
 	e.res.Generations = gen + 1
 	return nil
@@ -172,16 +176,25 @@ type fitScratch struct {
 	rank      []int
 	fen       []int
 	dup, rawf []int
-	// Distinct-point grouping of the density loop: group start offsets
-	// into ord (ng+1 entries), group coordinates and multiplicities,
-	// plus the uniform-grid buckets of the k-NN ring search (CSR cell
-	// offsets, the points of each cell, and each point's cell).
-	gs        []int
-	g0, g1    []float64
-	gcnt      []int
-	cellStart []int
-	cellPts   []int32
-	cellIdx   []int32
+	// Distinct-point grouping of the density search: group start offsets
+	// into ord (ng+1 entries), group coordinates and multiplicities, each
+	// individual's group, the per-group density (negative until queried)
+	// and the groups of the pending batch query.
+	ng     int
+	gs     []int
+	g0, g1 []float64
+	gcnt   []int
+	gid    []int32
+	gd     []float64
+	queue  []int32
+	// The k-NN query parameters and the uniform-grid buckets of its ring
+	// search: CSR cell offsets, the points of each cell, and each
+	// point's cell.
+	k, grid              int
+	lo0, lo1, inv0, inv1 float64
+	cellStart            []int
+	cellPts              []int32
+	cellIdx              []int32
 	// Packed per-slot point data in cell order: coordinates and
 	// multiplicity of cellPts[p], so the scan reads contiguous memory
 	// instead of three indexed loads through the group arrays.
@@ -205,7 +218,9 @@ func (s *fitScratch) domByFor(n int) [][]int32 {
 // assignFitness computes the SPEA-2 fitness F = R + D for every
 // individual of the union. The k-NN density loop is independent per
 // individual and is spread over the workers; the result is identical at
-// any worker count. A nil scratch allocates fresh buffers.
+// any worker count. A nil scratch allocates fresh buffers. For two
+// objectives the engine runs select2 instead, which computes only the
+// values selection reads; this full assignment is its test oracle.
 func assignFitness(union []Individual, m, workers int, s *fitScratch) {
 	if s == nil {
 		s = &fitScratch{}
@@ -253,13 +268,30 @@ func assignFitness(union []Individual, m, workers int, s *fitScratch) {
 	})
 }
 
-// assignFitness2 is the two-objective specialization of assignFitness —
-// the shape of the selective-hardening problem and the hot path of the
-// whole optimizer. It produces bit-identical fitness values: dominance
-// unrolls to direct comparisons, and the k-th-nearest-neighbour
-// distance comes from a bounded max-heap scan (the same multiset value
-// the quickselect returned) with the distance arithmetic of objDist2.
+// assignFitness2 is the two-objective specialization of assignFitness.
+// It produces bit-identical fitness values: dominance unrolls to direct
+// comparisons, and the k-th-nearest-neighbour distance comes from a
+// bounded max-heap scan (the same multiset value the quickselect
+// returned) with the distance arithmetic of objDist2.
 func assignFitness2(union []Individual, workers int, s *fitScratch) {
+	s.prepare2(union)
+	s.queue = s.queue[:0]
+	for t := 0; t < s.ng; t++ {
+		s.queue = append(s.queue, int32(t))
+	}
+	s.queryBatch(workers)
+	for i := range union {
+		d := s.gd[s.gid[i]]
+		union[i].density = d
+		union[i].fitness = float64(s.rawf[i]) + d
+	}
+}
+
+// prepare2 runs the density-independent part of the two-objective
+// fitness assignment: the sweep order, strength and raw fitness, the
+// grouping of exact duplicates and the k-NN grid. Every group's density
+// is left unqueried.
+func (s *fitScratch) prepare2(union []Individual) {
 	n := len(union)
 	s.obj0, s.obj1 = grow(s.obj0, n), grow(s.obj1, n)
 	obj0, obj1 := s.obj0, s.obj1
@@ -289,9 +321,9 @@ func assignFitness2(union []Individual, workers int, s *fitScratch) {
 		}
 		return 0
 	})
-	rawf := sweepFitness2(obj0, obj1, ord, s)
-	inv0, inv1 := invRange2(obj0), invRange2(obj1)
-	k := kNearest(n)
+	sweepFitness2(obj0, obj1, ord, s)
+	s.inv0, s.inv1 = invRange2(obj0), invRange2(obj1)
+	s.k = kNearest(n)
 
 	// Collapse exact duplicates: converged unions concentrate onto few
 	// distinct objective points, and every copy of a point has the same
@@ -301,8 +333,8 @@ func assignFitness2(union []Individual, workers int, s *fitScratch) {
 	// multiplicity (duplicates of the query contribute exact zeros).
 	s.gs = grow(s.gs, n+1)
 	s.g0, s.g1 = grow(s.g0, n), grow(s.g1, n)
-	s.gcnt = grow(s.gcnt, n)
-	gs, g0, g1, gcnt := s.gs, s.g0, s.g1, s.gcnt
+	s.gcnt, s.gid, s.gd = grow(s.gcnt, n), grow(s.gid, n), grow(s.gd, n)
+	gs, g0, g1, gcnt, gid := s.gs, s.g0, s.g1, s.gcnt, s.gid
 	ng := 0
 	for st := 0; st < n; {
 		i0 := ord[st]
@@ -310,11 +342,16 @@ func assignFitness2(union []Individual, workers int, s *fitScratch) {
 		for en < n && obj0[ord[en]] == obj0[i0] && obj1[ord[en]] == obj1[i0] {
 			en++
 		}
+		for p := st; p < en; p++ {
+			gid[ord[p]] = int32(ng)
+		}
 		gs[ng], g0[ng], g1[ng], gcnt[ng] = st, obj0[i0], obj1[i0], en-st
+		s.gd[ng] = -1
 		ng++
 		st = en
 	}
 	gs[ng] = n
+	s.ng = ng
 
 	// Uniform grid over the normalized objective plane, ~1 distinct
 	// point per cell. A query expands Chebyshev rings of cells around
@@ -332,22 +369,12 @@ func assignFitness2(union []Individual, workers int, s *fitScratch) {
 	for G*G < ng {
 		G++
 	}
-	lo0, lo1 := g0[0], g1[0] // g0 ascending; g1 scanned below
+	s.grid = G
+	s.lo0, s.lo1 = g0[0], g1[0] // g0 ascending; g1 scanned below
 	for t := 1; t < ng; t++ {
-		if g1[t] < lo1 {
-			lo1 = g1[t]
+		if g1[t] < s.lo1 {
+			s.lo1 = g1[t]
 		}
-	}
-	cellOf := func(t int) (int, int) {
-		cx := int((g0[t] - lo0) * inv0 * float64(G))
-		cy := int((g1[t] - lo1) * inv1 * float64(G))
-		if cx >= G {
-			cx = G - 1
-		}
-		if cy >= G {
-			cy = G - 1
-		}
-		return cx, cy
 	}
 	nc := G * G
 	s.cellStart = grow(s.cellStart, nc+1)
@@ -358,7 +385,7 @@ func assignFitness2(union []Individual, workers int, s *fitScratch) {
 	cellD0, cellD1, cellC := s.cellD0, s.cellD1, s.cellC
 	clear(cellStart[:nc+1])
 	for t := 0; t < ng; t++ {
-		cx, cy := cellOf(t)
+		cx, cy := s.cellOf(t)
 		cellIdx[t] = int32(cy*G + cx)
 		cellStart[cellIdx[t]+1]++
 	}
@@ -376,112 +403,148 @@ func assignFitness2(union []Individual, workers int, s *fitScratch) {
 		cellStart[c] = cellStart[c-1]
 	}
 	cellStart[0] = 0
+}
 
-	invG2 := 1 / float64(G*G)
-	parallelFor(ng, workers, func(lo, hi int) {
-		sel := getKSelect(k)
-		defer putKSelect(sel)
-		scan := func(t int, a0, a1 float64, c int) {
-			for p := cellStart[c]; p < cellStart[c+1]; p++ {
-				if int(cellPts[p]) == t {
-					continue
-				}
-				// Same expression order as objDist2, so the squared
-				// distance is bit-identical to the generic path.
-				x := (a0 - cellD0[p]) * inv0
-				y := (a1 - cellD1[p]) * inv1
-				d := x*x + y*y
-				// Duplicate of offer's warm reject test, inlined: once
-				// the buffer is full most candidates fail it, and the
-				// compare here skips the call entirely.
-				if sel.total >= k && d >= sel.buf[0].d {
-					continue
-				}
-				sel.offer(d, int(cellC[p]))
-			}
+// cellOf returns the grid cell of group t.
+func (s *fitScratch) cellOf(t int) (int, int) {
+	G := s.grid
+	cx := int((s.g0[t] - s.lo0) * s.inv0 * float64(G))
+	cy := int((s.g1[t] - s.lo1) * s.inv1 * float64(G))
+	if cx >= G {
+		cx = G - 1
+	}
+	if cy >= G {
+		cy = G - 1
+	}
+	return cx, cy
+}
+
+// enqueue adds the groups of the given individuals to the pending batch
+// query, skipping groups already queued or queried.
+func (s *fitScratch) enqueue(ids []int32) {
+	for _, i := range ids {
+		if t := s.gid[i]; s.gd[t] == -1 {
+			s.gd[t] = -2
+			s.queue = append(s.queue, t)
 		}
-		// cellLB is the per-cell refinement of the ring bound: every
-		// point of a cell (dx, dy) cell-offsets away (Chebyshev) is at
-		// least sqrt(max(dx-1,0)^2+max(dy-1,0)^2)/G away, so corner
-		// cells of a surviving ring become skippable up to sqrt(2)
-		// earlier than the whole ring; the same 1e-9 guard covers the
-		// placement rounding.
-		cellLB := func(dx, dy int) float64 {
-			if dx--; dx < 0 {
-				dx = 0
-			}
-			if dy--; dy < 0 {
-				dy = 0
-			}
-			return float64(dx*dx+dy*dy) * invG2
-		}
-		for t := lo; t < hi; t++ {
-			a0, a1 := g0[t], g1[t]
-			sel.reset()
-			if c := gcnt[t] - 1; c > 0 {
-				sel.offer(0, c)
-			}
-			cx, cy := cellOf(t)
-			for r := 0; ; r++ {
-				if r >= 1 && sel.total >= k {
-					lb := float64(r-1) / float64(G)
-					if lb*lb*(1-1e-9) >= sel.worst() {
-						break
-					}
-				}
-				if r == 0 {
-					scan(t, a0, a1, cy*G+cx)
-					continue
-				}
-				x0, x1 := cx-r, cx+r
-				y0, y1 := cy-r, cy+r
-				if x0 < 0 && x1 > G-1 && y0 < 0 && y1 > G-1 {
-					break // ring strictly outside: so is every later one
-				}
-				xl, xr := max(x0, 0), min(x1, G-1)
-				if y0 >= 0 {
-					for x := xl; x <= xr; x++ {
-						if sel.total >= k && cellLB(abs(x-cx), r)*(1-1e-9) >= sel.buf[0].d {
-							continue
-						}
-						scan(t, a0, a1, y0*G+x)
-					}
-				}
-				if y1 < G {
-					for x := xl; x <= xr; x++ {
-						if sel.total >= k && cellLB(abs(x-cx), r)*(1-1e-9) >= sel.buf[0].d {
-							continue
-						}
-						scan(t, a0, a1, y1*G+x)
-					}
-				}
-				yt, yb := max(y0+1, 0), min(y1-1, G-1)
-				if x0 >= 0 {
-					for y := yt; y <= yb; y++ {
-						if sel.total >= k && cellLB(r, abs(y-cy))*(1-1e-9) >= sel.buf[0].d {
-							continue
-						}
-						scan(t, a0, a1, y*G+x0)
-					}
-				}
-				if x1 < G {
-					for y := yt; y <= yb; y++ {
-						if sel.total >= k && cellLB(r, abs(y-cy))*(1-1e-9) >= sel.buf[0].d {
-							continue
-						}
-						scan(t, a0, a1, y*G+x1)
-					}
-				}
-			}
-			sigma := sel.kth()
-			dens := 1 / (math.Sqrt(sigma) + 2)
-			for p := gs[t]; p < gs[t+1]; p++ {
-				i := ord[p]
-				union[i].density = dens
-				union[i].fitness = float64(rawf[i]) + dens
-			}
-		}
+	}
+}
+
+// queryBatch runs the pending batch query spread over the workers; the
+// densities are identical at any worker count.
+func (s *fitScratch) queryBatch(workers int) {
+	parallelFor(len(s.queue), workers, func(lo, hi int) {
+		sel := getKSelect(s.k)
+		s.queryGroups(s.queue[lo:hi], sel)
+		putKSelect(sel)
 	})
+	s.queue = s.queue[:0]
+}
+
+// queryGroups computes the density D = 1/(σ_k + 2) of each listed group
+// by the k-NN ring search over the grid and stores it in gd. It is the
+// one density routine of both the batch and the on-demand queries.
+func (s *fitScratch) queryGroups(groups []int32, sel *kSelect) {
+	k, G := s.k, s.grid
+	inv0, inv1 := s.inv0, s.inv1
+	cellStart, cellPts := s.cellStart, s.cellPts
+	cellD0, cellD1, cellC := s.cellD0, s.cellD1, s.cellC
+	invG2 := 1 / float64(G*G)
+	scan := func(t int, a0, a1 float64, c int) {
+		for p := cellStart[c]; p < cellStart[c+1]; p++ {
+			if int(cellPts[p]) == t {
+				continue
+			}
+			// Same expression order as objDist2, so the squared
+			// distance is bit-identical to the generic path.
+			x := (a0 - cellD0[p]) * inv0
+			y := (a1 - cellD1[p]) * inv1
+			d := x*x + y*y
+			// Duplicate of offer's warm reject test, inlined: once
+			// the buffer is full most candidates fail it, and the
+			// compare here skips the call entirely.
+			if sel.total >= k && d >= sel.buf[0].d {
+				continue
+			}
+			sel.offer(d, int(cellC[p]))
+		}
+	}
+	// cellLB is the per-cell refinement of the ring bound: every
+	// point of a cell (dx, dy) cell-offsets away (Chebyshev) is at
+	// least sqrt(max(dx-1,0)^2+max(dy-1,0)^2)/G away, so corner
+	// cells of a surviving ring become skippable up to sqrt(2)
+	// earlier than the whole ring; the same 1e-9 guard covers the
+	// placement rounding.
+	cellLB := func(dx, dy int) float64 {
+		if dx--; dx < 0 {
+			dx = 0
+		}
+		if dy--; dy < 0 {
+			dy = 0
+		}
+		return float64(dx*dx+dy*dy) * invG2
+	}
+	for _, t32 := range groups {
+		t := int(t32)
+		a0, a1 := s.g0[t], s.g1[t]
+		sel.reset()
+		if c := s.gcnt[t] - 1; c > 0 {
+			sel.offer(0, c)
+		}
+		cx, cy := s.cellOf(t)
+		for r := 0; ; r++ {
+			if r >= 1 && sel.total >= k {
+				lb := float64(r-1) / float64(G)
+				if lb*lb*(1-1e-9) >= sel.worst() {
+					break
+				}
+			}
+			if r == 0 {
+				scan(t, a0, a1, cy*G+cx)
+				continue
+			}
+			x0, x1 := cx-r, cx+r
+			y0, y1 := cy-r, cy+r
+			if x0 < 0 && x1 > G-1 && y0 < 0 && y1 > G-1 {
+				break // ring strictly outside: so is every later one
+			}
+			xl, xr := max(x0, 0), min(x1, G-1)
+			if y0 >= 0 {
+				for x := xl; x <= xr; x++ {
+					if sel.total >= k && cellLB(abs(x-cx), r)*(1-1e-9) >= sel.buf[0].d {
+						continue
+					}
+					scan(t, a0, a1, y0*G+x)
+				}
+			}
+			if y1 < G {
+				for x := xl; x <= xr; x++ {
+					if sel.total >= k && cellLB(abs(x-cx), r)*(1-1e-9) >= sel.buf[0].d {
+						continue
+					}
+					scan(t, a0, a1, y1*G+x)
+				}
+			}
+			yt, yb := max(y0+1, 0), min(y1-1, G-1)
+			if x0 >= 0 {
+				for y := yt; y <= yb; y++ {
+					if sel.total >= k && cellLB(r, abs(y-cy))*(1-1e-9) >= sel.buf[0].d {
+						continue
+					}
+					scan(t, a0, a1, y*G+x0)
+				}
+			}
+			if x1 < G {
+				for y := yt; y <= yb; y++ {
+					if sel.total >= k && cellLB(r, abs(y-cy))*(1-1e-9) >= sel.buf[0].d {
+						continue
+					}
+					scan(t, a0, a1, y*G+x1)
+				}
+			}
+		}
+		s.gd[t] = 1 / (math.Sqrt(sel.kth()) + 2)
+	}
 }
 
 // sweepFitness2 computes the SPEA-2 strength and raw fitness of a
@@ -501,7 +564,7 @@ func assignFitness2(union []Individual, workers int, s *fitScratch) {
 // duplicates of i, S(i) = D(i) − dup(i); duplicates share one S value,
 // so R(i) = (Σ_{j ⪯ i} S(j)) − (dup(i)+1)·S(i), the sum running over
 // all product-order predecessors including i and its ties.
-func sweepFitness2(obj0, obj1 []float64, ord []int, s *fitScratch) []int {
+func sweepFitness2(obj0, obj1 []float64, ord []int, s *fitScratch) {
 	n := len(obj0)
 	s.ys, s.rank = grow(s.ys, n), grow(s.rank, n)
 	s.strength, s.dup, s.rawf = grow(s.strength, n), grow(s.dup, n), grow(s.rawf, n)
@@ -599,7 +662,6 @@ func sweepFitness2(obj0, obj1 []float64, ord []int, s *fitScratch) []int {
 		}
 		gStart = gEnd
 	}
-	return rawf
 }
 
 func abs(x int) int {
@@ -806,11 +868,20 @@ type selScratch struct {
 	protected []bool
 	nn        []int
 	nnD       []float64
-	o0, o1    []float64
+	// Two-objective selection (select2): union indices of the
+	// nondominated and dominated individuals, the dominated raw
+	// fitnesses, and the chain truncation's sorted chain, links and
+	// victim heap.
+	nd, dom    []int32
+	rs         []int
+	chain      []int32
+	prev, succ []int32
+	heap       []chainEntry
 }
 
-// environmentalSelection builds the next archive of the given capacity.
-// A nil scratch allocates fresh buffers.
+// environmentalSelection builds the next archive of the given capacity
+// from a union whose every fitness is assigned. A nil scratch allocates
+// fresh buffers.
 func environmentalSelection(union []Individual, capacity, m int, s *selScratch) []Individual {
 	if s == nil {
 		s = &selScratch{}
@@ -851,11 +922,14 @@ func environmentalSelection(union []Individual, capacity, m int, s *selScratch) 
 
 // truncate iteratively removes the individual with the smallest
 // nearest-neighbour distance in normalized objective space until the
-// set fits the capacity, then compacts the survivors in place. (SPEA-2
-// breaks nearest-neighbour ties by the next distances; with
+// set fits the capacity, then compacts the survivors in place. Ties go
+// to the lowest index, and the per-objective minima are never removed.
+// (SPEA-2 breaks nearest-neighbour ties by the next distances; with
 // floating-point objective distances exact ties are rare and
 // first-neighbour truncation preserves the boundary points just as
-// well, at a fraction of the cost.)
+// well, at a fraction of the cost.) Each removal rescans the set, so
+// this is O(n²) per victim in the worst case; it serves the K-objective
+// runs and is the oracle of the two-objective chain walk (truncate2).
 func truncate(set []Individual, capacity, m int, s *selScratch) []Individual {
 	_, invRange := normalizeRanges(set, m)
 	n := len(set)
@@ -882,43 +956,14 @@ func truncate(set []Individual, capacity, m int, s *selScratch) []Individual {
 	s.nn, s.nnD = grow(s.nn, n), grow(s.nnD, n)
 	nn := s.nn   // index of current nearest neighbour
 	nnD := s.nnD // distance to it
-	// Two-objective fast path: flat coordinate mirrors so the pairwise
-	// scans below read contiguous floats instead of indexing objective
-	// slices per pair. The distance expression matches objDist2's
-	// accumulation (0 + x² + y²) bit for bit.
-	var o0, o1 []float64
-	var iv0, iv1 float64
-	if m == 2 {
-		s.o0, s.o1 = grow(s.o0, n), grow(s.o1, n)
-		o0, o1 = s.o0, s.o1
-		for i := range set {
-			o0[i] = set[i].Obj[0]
-			o1[i] = set[i].Obj[1]
-		}
-		iv0, iv1 = invRange[0], invRange[1]
-	}
 	recompute := func(i int) {
 		bi, bd := -1, math.Inf(1)
-		if o0 != nil {
-			a0, a1 := o0[i], o1[i]
-			for j := 0; j < n; j++ {
-				if j == i || !alive[j] {
-					continue
-				}
-				x := (a0 - o0[j]) * iv0
-				y := (a1 - o1[j]) * iv1
-				if d := x*x + y*y; d < bd {
-					bi, bd = j, d
-				}
+		for j := 0; j < n; j++ {
+			if j == i || !alive[j] {
+				continue
 			}
-		} else {
-			for j := 0; j < n; j++ {
-				if j == i || !alive[j] {
-					continue
-				}
-				if d := objDist2(set[i].Obj, set[j].Obj, invRange); d < bd {
-					bi, bd = j, d
-				}
+			if d := objDist2(set[i].Obj, set[j].Obj, invRange); d < bd {
+				bi, bd = j, d
 			}
 		}
 		nn[i], nnD[i] = bi, bd
@@ -954,4 +999,275 @@ func truncate(set []Individual, capacity, m int, s *selScratch) []Individual {
 		}
 	}
 	return out
+}
+
+// select2 is fitness assignment plus environmental selection for two
+// objectives, computing only the fitness values selection reads. Its
+// archive — order, members, fitness and density — is identical to
+// assignFitness followed by environmentalSelection; the fitness of a
+// non-survivor is left undefined.
+//
+// Survivors are decided from the raw fitness R alone: 0 ≤ D ≤ 1/2, so
+// F < 1 exactly when R = 0, and the k-NN densities are queried only
+// for the groups whose fitness is read:
+//   - overfull (more nondominated than capacity): truncation reads only
+//     objectives, so it runs first and only the survivors are queried;
+//   - exactly full: the nondominated are queried;
+//   - underfull: the nondominated and the dominated with R ≤ R_cut, the
+//     raw fitness of the need-th best dominated individual, are queried
+//     as one batch. The fill sort orders by F, and F_a < F_b whenever
+//     R_a < R_b; when it compares two individuals of equal R it reads
+//     their densities, queried on demand and memoized per group. The
+//     unstable sort therefore sees exactly the comparison results of
+//     the full assignment and leaves ties in the same order.
+func select2(union []Individual, capacity, workers int, fs *fitScratch, ss *selScratch) []Individual {
+	n := len(union)
+	fs.prepare2(union)
+	rawf, gid := fs.rawf, fs.gid
+	nd, dom := grow(ss.nd, n)[:0], grow(ss.dom, n)[:0]
+	for i := 0; i < n; i++ {
+		if rawf[i] == 0 {
+			nd = append(nd, int32(i))
+		} else {
+			dom = append(dom, int32(i))
+		}
+	}
+	surv := nd
+	need := 0
+	switch {
+	case len(nd) > capacity:
+		// ord lists the nondominated along their chain.
+		chain := grow(ss.chain, len(nd))[:0]
+		for _, i := range fs.ord {
+			if rawf[i] == 0 {
+				chain = append(chain, int32(i))
+			}
+		}
+		ss.chain = chain
+		surv = truncate2(fs.obj0, fs.obj1, nd, chain, capacity, ss)
+		fs.enqueue(surv)
+	case len(nd) == capacity:
+		fs.enqueue(nd)
+	default:
+		fs.enqueue(nd)
+		need = min(capacity-len(nd), len(dom))
+		if need > 0 {
+			rs := grow(ss.rs, len(dom))
+			for p, i := range dom {
+				rs[p] = rawf[i]
+			}
+			slices.Sort(rs)
+			rcut := rs[need-1]
+			ss.rs = rs
+			for p, i := range dom {
+				if rawf[i] <= rcut {
+					fs.enqueue(dom[p : p+1])
+				}
+			}
+		}
+	}
+	fs.queryBatch(workers)
+	if need > 0 {
+		sel := getKSelect(fs.k)
+		fitness := func(i int32) float64 {
+			t := gid[i]
+			if fs.gd[t] < 0 {
+				fs.queryGroups([]int32{t}, sel)
+			}
+			return float64(rawf[i]) + fs.gd[t]
+		}
+		slices.SortFunc(dom, func(a, b int32) int {
+			if ra, rb := rawf[a], rawf[b]; ra != rb {
+				if ra < rb {
+					return -1
+				}
+				return 1
+			}
+			fa, fb := fitness(a), fitness(b)
+			switch {
+			case fa < fb:
+				return -1
+			case fa > fb:
+				return 1
+			}
+			return 0
+		})
+		putKSelect(sel)
+		surv = append(nd, dom[:need]...)
+	}
+	next := ss.next[:0]
+	for _, i := range surv {
+		in := union[i]
+		in.density = fs.gd[gid[i]]
+		in.fitness = float64(rawf[i]) + in.density
+		next = append(next, in)
+	}
+	ss.next, ss.nd, ss.dom = next, surv[:0], dom[:0]
+	return next
+}
+
+// chainEntry is a truncation candidate: a chain position's
+// nearest-neighbour distance, keyed for victim order by (d, u), u the
+// union index.
+type chainEntry struct {
+	d    float64
+	c, u int32
+}
+
+func (a chainEntry) less(b chainEntry) bool {
+	return a.d < b.d || (a.d == b.d && a.u < b.u)
+}
+
+// truncate2 is truncate for a two-objective nondominated set, with the
+// same victim sequence in O(n log n). set holds the union indices of
+// the set in union order (truncate's index order), chain the same
+// indices sorted by (obj0, obj1); obj0/obj1 are union-indexed. It
+// returns the survivors in union order, compacted into set.
+//
+// Along the chain obj0 ascends and obj1 descends (equal obj0 means an
+// exact duplicate in a nondominated set), so a point's nearest alive
+// neighbour is always its alive predecessor or successor — and bit for
+// bit, because correctly rounded subtraction, scaling, squaring and
+// addition are all monotone: a point further along the chain never has
+// a smaller computed distance. A doubly linked list tracks the alive
+// chain; victims come from an (nnD, index) min-heap with lazy deletion.
+// Removing a point only relinks its two neighbours, and their nnD can
+// only grow, so a stale heap entry is recognized by a distance below
+// the current one.
+func truncate2(obj0, obj1 []float64, set, chain []int32, capacity int, s *selScratch) []int32 {
+	q := len(set)
+	lo0, hi0 := math.Inf(1), math.Inf(-1)
+	lo1, hi1 := math.Inf(1), math.Inf(-1)
+	for _, u := range set {
+		lo0, hi0 = min(lo0, obj0[u]), max(hi0, obj0[u])
+		lo1, hi1 = min(lo1, obj1[u]), max(hi1, obj1[u])
+	}
+	var iv0, iv1 float64
+	if d := hi0 - lo0; d > 0 {
+		iv0 = 1 / d
+	}
+	if d := hi1 - lo1; d > 0 {
+		iv1 = 1 / d
+	}
+	// The per-objective extremes are protected: the lowest union index
+	// of each minimum, as truncate picks them.
+	prot0, prot1 := int32(-1), int32(-1)
+	if capacity >= 2 {
+		prot0, prot1 = set[0], set[0]
+		for _, u := range set[1:] {
+			if obj0[u] < obj0[prot0] {
+				prot0 = u
+			}
+			if obj1[u] < obj1[prot1] {
+				prot1 = u
+			}
+		}
+	}
+	s.alive = grow(s.alive, len(obj0))
+	alive := s.alive
+	for _, u := range set {
+		alive[u] = true
+	}
+	s.prev, s.succ, s.nnD = grow(s.prev, q), grow(s.succ, q), grow(s.nnD, q)
+	prev, succ, nnD := s.prev, s.succ, s.nnD
+	// nearest is the distance from chain position c to its nearer alive
+	// chain neighbour (+Inf without one), in objDist2's arithmetic.
+	nearest := func(c int32) float64 {
+		a0, a1 := obj0[chain[c]], obj1[chain[c]]
+		bd := math.Inf(1)
+		for _, j := range [2]int32{prev[c], succ[c]} {
+			if j < 0 || int(j) >= q {
+				continue
+			}
+			x := (a0 - obj0[chain[j]]) * iv0
+			y := (a1 - obj1[chain[j]]) * iv1
+			if d := x*x + y*y; d < bd {
+				bd = d
+			}
+		}
+		return bd
+	}
+	h := s.heap[:0]
+	for c := range q {
+		prev[c], succ[c] = int32(c-1), int32(c+1)
+		nnD[c] = nearest(int32(c))
+		if u := chain[c]; u != prot0 && u != prot1 {
+			h = append(h, chainEntry{nnD[c], int32(c), u})
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		chainDown(h, i)
+	}
+	for remaining := q; remaining > capacity && len(h) > 0; {
+		v := h[0]
+		h[0] = h[len(h)-1]
+		h = h[:len(h)-1]
+		chainDown(h, 0)
+		if !alive[v.u] || v.d != nnD[v.c] {
+			continue // stale
+		}
+		if math.IsInf(v.d, 1) {
+			break // no finite candidate left, as in truncate
+		}
+		alive[v.u] = false
+		remaining--
+		p, x := prev[v.c], succ[v.c]
+		if p >= 0 {
+			succ[p] = x
+		}
+		if int(x) < q {
+			prev[x] = p
+		}
+		for _, c := range [2]int32{p, x} {
+			if c < 0 || int(c) >= q {
+				continue
+			}
+			d := nearest(c)
+			if d == nnD[c] {
+				continue
+			}
+			nnD[c] = d
+			if u := chain[c]; u != prot0 && u != prot1 {
+				h = append(h, chainEntry{d, c, u})
+				chainUp(h, len(h)-1)
+			}
+		}
+	}
+	s.heap = h[:0]
+	out := set[:0]
+	for _, u := range set {
+		if alive[u] {
+			out = append(out, u)
+		}
+	}
+	return out
+}
+
+func chainUp(h []chainEntry, i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h[i].less(h[p]) {
+			return
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+func chainDown(h []chainEntry, i int) {
+	n := len(h)
+	for {
+		m := 2*i + 1
+		if m >= n {
+			return
+		}
+		if r := m + 1; r < n && h[r].less(h[m]) {
+			m = r
+		}
+		if !h[m].less(h[i]) {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }
