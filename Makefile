@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: ci vet lint build test race perfbench-test determinism serve-smoke chaos chaos-fleet chaos-cache fuzz bench bench-smoke benchjson bench-compare clean
+.PHONY: ci vet lint build test race perfbench-test determinism serve-smoke chaos chaos-fleet chaos-cache fuzz bench bench-smoke clean
 
-ci: vet lint build race perfbench-test determinism serve-smoke chaos-fleet chaos-cache bench-compare
+ci: vet lint build race perfbench-test determinism serve-smoke chaos-fleet chaos-cache
 
 vet:
 	$(GO) vet ./...
@@ -89,18 +89,6 @@ bench:
 # budget, to spot regressions before committing.
 bench-smoke:
 	$(GO) test -run=NONE -bench=Table1 -benchtime=1x .
-
-# Regenerate the committed machine-readable benchmark summary
-# (validated by TestBenchJSONArtifact). -jobs 1 keeps the per-row
-# evolve_ms serial and therefore comparable across artifact versions.
-benchjson:
-	$(GO) run ./cmd/table1 -quick -maxprims 60000 -jobs 1 -benchjson BENCH_5.json
-
-# Fail if any shared 2-objective row's evolve_ms regressed >15% vs the
-# previous committed artifact (K-objective rows are excluded from the
-# gate by their "objectives" tag).
-bench-compare:
-	$(GO) run ./cmd/benchdiff -threshold 15 BENCH_4.json BENCH_5.json
 
 clean:
 	$(GO) clean ./...

@@ -5,8 +5,8 @@
 //     the convex hull of the Pareto front (the objectives are separable
 //     sums, so greedy-by-ratio is the fractional-knapsack relaxation);
 //   - exact constrained optima via 0/1-knapsack dynamic programming over
-//     the integral cost axis (tractable whenever primitives × total cost
-//     is moderate), used to calibrate how close the evolutionary fronts
+//     the integral cost axis (tractable whenever candidates × candidate
+//     cost is moderate), used to calibrate how close the evolutionary fronts
 //     come to optimal;
 //   - a random-sampling front as the sanity-check lower bar;
 //   - the hardware overhead of conventional full triple-modular
@@ -183,24 +183,27 @@ func paretoSolutions(sols []core.Solution) []core.Solution {
 
 // Exact computes exact constrained optima of the separable
 // selective-hardening problem by 0/1-knapsack dynamic programming over
-// the cost axis. Construction is O(primitives × total cost) in time and
-// O(total cost) in space.
+// the cost axis. The axis spans the summed cost of the hardening
+// candidates (a.Prims), which under ScopeControl is far below the cost
+// of every primitive in the specification. Construction is
+// O(candidates × candidate cost) in time and O(candidate cost) in
+// space.
 type Exact struct {
 	a *faults.Analysis
 	// removed[c] is the maximum total damage removable with hardening
-	// cost at most c.
+	// cost at most c; budgets beyond the last entry clamp to it.
 	removed []int64
 }
 
 // ExactTractable reports whether the DP fits the given operation budget
-// (primitives × (total cost + 1) <= maxOps).
+// (candidates × (candidate cost + 1) <= maxOps).
 func ExactTractable(a *faults.Analysis, maxOps int64) bool {
-	return int64(len(a.Prims))*(a.Spec.MaxCost()+1) <= maxOps
+	return int64(len(a.Prims))*(a.MaxCost()+1) <= maxOps
 }
 
 // NewExact builds the DP table.
 func NewExact(a *faults.Analysis) *Exact {
-	maxCost := a.Spec.MaxCost()
+	maxCost := a.MaxCost()
 	removed := make([]int64, maxCost+1)
 	for _, id := range a.Prims {
 		c, d := a.Spec.Cost[id], a.Damage[id]

@@ -168,6 +168,67 @@ func TestExactTractable(t *testing.T) {
 	}
 }
 
+// TestExactSizedByCandidateCost checks that the DP spans the cost of
+// the hardening candidates only. Under ScopeControl the instrument data
+// segments are not candidates, so the specification's total cost is
+// larger; every budget up to it and every damage limit must still get
+// the answer of a DP sized by the specification's total cost.
+func TestExactSizedByCandidateCost(t *testing.T) {
+	net := benchnets.Random(benchnets.RandomOptions{Seed: 5, TargetPrims: 120})
+	tree, err := sptree.Build(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := faults.DefaultOptions()
+	opts.Scope = faults.ScopeControl
+	a, err := faults.Analyze(net, tree, spec.FromNetwork(net, spec.DefaultCostModel), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specCost, candCost := a.Spec.MaxCost(), a.MaxCost()
+	if specCost <= candCost {
+		t.Fatalf("fixture: spec cost %d not above candidate cost %d", specCost, candCost)
+	}
+	n := int64(len(a.Prims))
+	if !ExactTractable(a, n*(candCost+1)) {
+		t.Errorf("ExactTractable(a, %d) = false, want the DP sized by candidate cost %d", n*(candCost+1), candCost)
+	}
+	e := NewExact(a)
+	if got := int64(len(e.removed)); got != candCost+1 {
+		t.Errorf("DP has %d entries, want candidate cost + 1 = %d", got, candCost+1)
+	}
+
+	// Reference: the same knapsack over the specification's total cost.
+	full := make([]int64, specCost+1)
+	for _, id := range a.Prims {
+		c, d := a.Spec.Cost[id], a.Damage[id]
+		for b := specCost; b >= c; b-- {
+			full[b] = max(full[b], full[b-c]+d)
+		}
+	}
+	for b := int64(-1); b <= specCost+1; b++ {
+		want := a.TotalDamage
+		if b >= 0 {
+			want -= full[min(b, specCost)]
+		}
+		if got := e.MinDamageWithCostAtMost(b); got != want {
+			t.Fatalf("budget %d: min damage %d, full-size DP %d", b, got, want)
+		}
+	}
+	for limit := int64(-1); limit <= a.TotalDamage; limit++ {
+		wantCost, wantOK := int64(0), false
+		for c, r := range full {
+			if r >= a.TotalDamage-limit {
+				wantCost, wantOK = int64(c), true
+				break
+			}
+		}
+		if got, ok := e.MinCostWithDamageAtMost(limit); got != wantCost || ok != wantOK {
+			t.Fatalf("limit %d: min cost (%d, %v), full-size DP (%d, %v)", limit, got, ok, wantCost, wantOK)
+		}
+	}
+}
+
 func TestTMROverheadExceedsSelective(t *testing.T) {
 	a := analyze(t, fixture.SIBChain(10))
 	tmr := TMROverhead(a, 1)
@@ -284,12 +345,12 @@ func TestDedupe(t *testing.T) {
 	mk := func(cost, damage int64) core.Solution { return core.Solution{Cost: cost, Damage: damage} }
 	in := []core.Solution{
 		mk(0, 100),
-		mk(0, 90),  // same cost, less damage: replaces the previous
-		mk(5, 90),  // more cost, same damage: dominated, dropped
-		mk(5, 80),  // same cost as the dropped one: kept
-		mk(7, 80),  // no damage reduction: dropped
+		mk(0, 90), // same cost, less damage: replaces the previous
+		mk(5, 90), // more cost, same damage: dominated, dropped
+		mk(5, 80), // same cost as the dropped one: kept
+		mk(7, 80), // no damage reduction: dropped
 		mk(9, 10),
-		mk(9, 10),  // exact duplicate: dropped
+		mk(9, 10), // exact duplicate: dropped
 		mk(12, 0),
 	}
 	want := []core.Solution{mk(0, 90), mk(5, 80), mk(9, 10), mk(12, 0)}

@@ -238,17 +238,9 @@ type Synthesis struct {
 	CacheMisses int64
 	// Elapsed is the wall-clock synthesis time (Table I column 11).
 	Elapsed time.Duration
-	// AnalysisTime is the wall-clock time of the exact criticality
-	// analysis (decomposition tree + damage computation); EvolveTime is
-	// the evolutionary optimization time. Their split is the paper's
-	// central runtime claim and the quantity BENCH_*.json tracks.
-	AnalysisTime time.Duration
-	EvolveTime   time.Duration
-	// TreeTime and CritTime split AnalysisTime into its two stages;
-	// ExtractTime is the front-materialization time. All three feed the
-	// per-stage wall clock of the v2 bench artifact.
-	TreeTime    time.Duration
-	CritTime    time.Duration
+	// EvolveTime is the evolutionary optimization time; ExtractTime is
+	// the front-materialization time.
+	EvolveTime  time.Duration
 	ExtractTime time.Duration
 	// Workers is the resolved evaluation worker-pool size the run used.
 	Workers int
@@ -258,12 +250,6 @@ type Synthesis struct {
 	// exactly the work performed.
 	Interrupted bool
 }
-
-// wordEvalMaxBits bounds the genome size for which the word-level
-// evaluation tables are built: the two tables cost 512 bytes per genome
-// bit (2 tables × 256 entries × 8 bytes per byte position), so the gate
-// caps them at 64 MiB. Larger problems fall back to the per-bit loop.
-const wordEvalMaxBits = 1 << 17
 
 // Problem is the selective-hardening optimization problem as seen by the
 // evolutionary algorithms: bit i hardens the i-th primitive (ID order).
@@ -280,17 +266,9 @@ type Problem struct {
 
 	// names is the canonical objective-name list; objs is the compiled
 	// general evaluation path, nil when the problem runs the dedicated
-	// 2-obj (damage, cost) fast path below.
+	// 2-obj (damage, cost) path (evaluateBits, EvaluateDelta).
 	names []string
 	objs  []compiledObjective
-
-	// dmgTab/costTab are the word-level fast path: per byte position of
-	// the packed genome, a 256-entry table holding the summed weight of
-	// every bit subset, turning Evaluate into eight table lookups per
-	// 64-bit word instead of a TrailingZeros loop per set bit. Nil for
-	// problems above wordEvalMaxBits.
-	dmgTab  [][256]int64
-	costTab [][256]int64
 
 	// deltaLimit is the incremental-evaluation cutoff: a child differing
 	// from its base in more than this many non-forced bits is evaluated
@@ -301,20 +279,10 @@ type Problem struct {
 
 // NewProblem builds the optimization problem from a completed
 // criticality analysis. If forceCritical is set, every critical-hitting
-// primitive's bit is treated as hardened in all evaluations.
+// primitive's bit is treated as hardened in all evaluations. The
+// damage/cost vectors are built whatever the objective set: solution
+// extraction reads them.
 func NewProblem(a *faults.Analysis, forceCritical bool) *Problem {
-	p := newBaseProblem(a, forceCritical)
-	if len(p.prims) <= wordEvalMaxBits {
-		p.dmgTab = buildWordTables(p.damage)
-		p.costTab = buildWordTables(p.cost)
-	}
-	return p
-}
-
-// newBaseProblem builds the objective-agnostic part of the problem:
-// the primitive order, the damage/cost vectors (solution extraction
-// reads them whatever the objective set) and the forced-critical mask.
-func newBaseProblem(a *faults.Analysis, forceCritical bool) *Problem {
 	prims := a.Prims
 	p := &Problem{
 		prims:  prims,
@@ -338,8 +306,8 @@ func newBaseProblem(a *faults.Analysis, forceCritical bool) *Problem {
 	// Mutation flips ~1% of bits and crossover against the
 	// majority-contributing parent preserves most of the rest, so real
 	// children sit far under this cutoff; it exists to bounce the rare
-	// distant pair back to the word-table path, where per-flip updates
-	// would cost more than a full scan.
+	// distant pair back to full evaluation, where per-flip updates would
+	// cost more than a full scan.
 	p.deltaLimit = len(prims) / 4
 	if p.deltaLimit < 64 {
 		p.deltaLimit = 64
@@ -364,52 +332,22 @@ func NewProblemWithObjectives(a *faults.Analysis, forceCritical bool, objectives
 	if err != nil {
 		return nil, err
 	}
-	p := newBaseProblem(a, forceCritical)
+	p := NewProblem(a, forceCritical)
 	p.names = names
 	p.objs = objs
 	return p, nil
 }
 
-// buildWordTables precomputes, for every byte position of the packed
-// genome, the weight sum of each of the 256 bit subsets. Entry v is
-// derived from the entry with v's lowest bit cleared in one addition, so
-// the build is a single pass over 256 values per position.
-func buildWordTables(weight []int64) [][256]int64 {
-	n := len(weight)
-	nbytes := (n + 63) / 64 * 8 // full words, so high bytes exist (zero weight)
-	tabs := make([][256]int64, nbytes)
-	for b := 0; b < nbytes; b++ {
-		tab := &tabs[b]
-		for v := 1; v < 256; v++ {
-			lsb := v & -v
-			w := int64(0)
-			if i := b*8 + bits.TrailingZeros64(uint64(lsb)); i < n {
-				w = weight[i]
-			}
-			tab[v] = tab[v^lsb] + w
-		}
-	}
-	return tabs
-}
-
 // NumBits returns the number of hardening candidates.
 func (p *Problem) NumBits() int { return len(p.prims) }
 
-// NumObjectives returns the objective count: 2 on the default
-// (damage, cost) fast path, the canonical list length otherwise.
-func (p *Problem) NumObjectives() int {
-	if p.names == nil {
-		return 2
-	}
-	return len(p.names)
-}
+// NumObjectives returns the objective count: the length of the
+// canonical objective list (2 for the default damage, cost pair).
+func (p *Problem) NumObjectives() int { return len(p.names) }
 
 // ObjectiveNames returns the problem's objective names in canonical
 // order (index k names objective slot k of every evaluation).
 func (p *Problem) ObjectiveNames() []string {
-	if p.names == nil {
-		return DefaultObjectives()
-	}
 	return append([]string(nil), p.names...)
 }
 
@@ -451,37 +389,25 @@ func (p *Problem) ObjectiveValues(g moea.Genome) []float64 {
 }
 
 // Evaluate computes the objective vector for a hardening genome. The
-// default (damage, cost) problem dispatches to the dedicated 2-obj
-// word-level table path when the tables exist and falls back to the
-// per-bit loop otherwise; general objective sets run the compiled
-// per-objective pipeline. All paths produce identical sums (integer
-// arithmetic, no reassociation concerns).
+// default (damage, cost) problem runs the dedicated 2-obj per-set-bit
+// loop; general objective sets run the compiled per-objective
+// pipeline. Both sum integers, so they agree exactly on shared
+// objectives.
 func (p *Problem) Evaluate(g moea.Genome, out []float64) {
 	if p.objs != nil {
 		p.evaluateK(g, out)
-		return
-	}
-	if p.dmgTab != nil {
-		p.evaluateWords(g, out)
 		return
 	}
 	p.evaluateBits(g, out)
 }
 
 // EvaluateBatch is the moea.BatchProblem entry point: it evaluates a
-// slice of genomes with one dispatch and warm tables. Safe for
-// concurrent calls on disjoint batches — evaluation only reads the
-// problem.
+// slice of genomes with one dispatch. Safe for concurrent calls on
+// disjoint batches — evaluation only reads the problem.
 func (p *Problem) EvaluateBatch(gs []moea.Genome, outs [][]float64) {
 	if p.objs != nil {
 		for i := range gs {
 			p.evaluateK(gs[i], outs[i])
-		}
-		return
-	}
-	if p.dmgTab != nil {
-		for i := range gs {
-			p.evaluateWords(gs[i], outs[i])
 		}
 		return
 	}
@@ -491,9 +417,9 @@ func (p *Problem) EvaluateBatch(gs []moea.Genome, outs [][]float64) {
 }
 
 // evaluateK is the general evaluation path: one pass per compiled
-// objective, through its word tables when built, its per-bit weights
-// otherwise, or its genome-level evaluator. Linear sums stay in int64
-// until the final store, so the table and bit paths agree exactly.
+// objective, over its per-bit weights or through its genome-level
+// evaluator. Linear sums stay in int64 until the final store, so full
+// and delta evaluation agree exactly.
 func (p *Problem) evaluateK(g moea.Genome, out []float64) {
 	var effective moea.Genome // lazily built genome ∪ critMask for eval objectives
 	for k := range p.objs {
@@ -513,61 +439,22 @@ func (p *Problem) evaluateK(g moea.Genome, out []float64) {
 			continue
 		}
 		sum := o.base
-		if o.tabs != nil {
-			for w, word := range g {
-				if p.critMask != nil {
-					word |= p.critMask[w]
-				}
-				base := w << 3
-				for word != 0 {
-					if v := word & 0xff; v != 0 {
-						sum += o.tabs[base][v]
-					}
-					word >>= 8
-					base++
-				}
+		for w, word := range g {
+			if p.critMask != nil {
+				word |= p.critMask[w]
 			}
-		} else {
-			for w, word := range g {
-				if p.critMask != nil {
-					word |= p.critMask[w]
-				}
-				base := w << 6
-				for word != 0 {
-					sum += o.weights[base+bits.TrailingZeros64(word)]
-					word &= word - 1
-				}
+			base := w << 6
+			for word != 0 {
+				sum += o.weights[base+bits.TrailingZeros64(word)]
+				word &= word - 1
 			}
 		}
 		out[k] = float64(sum)
 	}
 }
 
-// evaluateWords accumulates damage and cost byte by byte through the
-// precomputed subset-sum tables: eight lookups per 64-bit word,
-// independent of how many bits are set.
-func (p *Problem) evaluateWords(g moea.Genome, out []float64) {
-	var dmg, cost int64
-	for w, word := range g {
-		if p.critMask != nil {
-			word |= p.critMask[w]
-		}
-		base := w << 3
-		for word != 0 {
-			if v := word & 0xff; v != 0 {
-				dmg += p.dmgTab[base][v]
-				cost += p.costTab[base][v]
-			}
-			word >>= 8
-			base++
-		}
-	}
-	out[0] = float64(p.total - dmg)
-	out[1] = float64(cost)
-}
-
-// evaluateBits is the reference per-set-bit evaluation, used above
-// wordEvalMaxBits and as the cross-check oracle in tests.
+// evaluateBits is the full evaluation of the default (damage, cost)
+// pair: one TrailingZeros step per set bit.
 func (p *Problem) evaluateBits(g moea.Genome, out []float64) {
 	var dmg, cost int64
 	for w, word := range g {
@@ -770,7 +657,6 @@ func Synthesize(net *rsn.Network, sp *spec.Spec, opt Options) (*Synthesis, error
 	}
 	sv.End()
 
-	analysisStart := time.Now()
 	st := root.Child("sp-tree")
 	tree, err := sptree.Build(net)
 	if err != nil {
@@ -778,9 +664,7 @@ func Synthesize(net *rsn.Network, sp *spec.Spec, opt Options) (*Synthesis, error
 	}
 	st.End()
 	tree.Publish(tel)
-	treeTime := time.Since(analysisStart)
 
-	critStart := time.Now()
 	sa := root.Child("criticality")
 	analysis, err := faults.Analyze(net, tree, sp, opt.Analysis)
 	if err != nil {
@@ -788,8 +672,6 @@ func Synthesize(net *rsn.Network, sp *spec.Spec, opt Options) (*Synthesis, error
 	}
 	sa.End()
 	analysis.Publish(tel)
-	critTime := time.Since(critStart)
-	analysisTime := time.Since(analysisStart)
 
 	// The problem goes to the optimizer undecorated so the executor sees
 	// its BatchProblem fast path; evaluation accounting moved into the
@@ -889,26 +771,23 @@ func Synthesize(net *rsn.Network, sp *spec.Spec, opt Options) (*Synthesis, error
 	evolveTime := time.Since(evolveStart)
 
 	s := &Synthesis{
-		Net:          net,
-		Tree:         tree,
-		Spec:         sp,
-		Analysis:     analysis,
-		Objectives:   problem.ObjectiveNames(),
-		MaxCost:      analysis.MaxCost(),
-		MaxDamage:    analysis.TotalDamage,
-		Generations:  res.Generations,
-		Evaluations:  res.Evaluations,
-		DeltaEvals:   res.DeltaEvals,
-		FullEvals:    res.FullEvals,
-		Islands:      max(params.Islands, 1),
-		CacheHits:    res.CacheHits,
-		CacheMisses:  res.CacheMisses,
-		AnalysisTime: analysisTime,
-		EvolveTime:   evolveTime,
-		TreeTime:     treeTime,
-		CritTime:     critTime,
-		Workers:      workers,
-		Interrupted:  res.Interrupted,
+		Net:         net,
+		Tree:        tree,
+		Spec:        sp,
+		Analysis:    analysis,
+		Objectives:  problem.ObjectiveNames(),
+		MaxCost:     analysis.MaxCost(),
+		MaxDamage:   analysis.TotalDamage,
+		Generations: res.Generations,
+		Evaluations: res.Evaluations,
+		DeltaEvals:  res.DeltaEvals,
+		FullEvals:   res.FullEvals,
+		Islands:     max(params.Islands, 1),
+		CacheHits:   res.CacheHits,
+		CacheMisses: res.CacheMisses,
+		EvolveTime:  evolveTime,
+		Workers:     workers,
+		Interrupted: res.Interrupted,
 	}
 	extractStart := time.Now()
 	sx := root.Child("extract")

@@ -368,41 +368,6 @@ func TestConstrainedPickEdgeCases(t *testing.T) {
 	}
 }
 
-// TestWordEvaluationMatchesBitEvaluation cross-checks the table-driven
-// word-level Evaluate against the per-bit reference, with and without a
-// forced-critical mask, on random genomes of every density.
-func TestWordEvaluationMatchesBitEvaluation(t *testing.T) {
-	net := benchnets.Random(benchnets.RandomOptions{Seed: 101, TargetPrims: 150})
-	tree, err := sptree.Build(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := spec.FromNetwork(net, spec.DefaultCostModel)
-	a, err := faults.Analyze(net, tree, sp, faults.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, force := range []bool{false, true} {
-		p := NewProblem(a, force)
-		if p.dmgTab == nil {
-			t.Fatal("word tables not built for a small problem")
-		}
-		rng := rand.New(rand.NewSource(7))
-		for trial := 0; trial < 200; trial++ {
-			g := moea.NewGenome(p.NumBits())
-			g.Randomize(rng, rng.Float64(), p.NumBits())
-			words := make([]float64, 2)
-			bits := make([]float64, 2)
-			p.evaluateWords(g, words)
-			p.evaluateBits(g, bits)
-			if words[0] != bits[0] || words[1] != bits[1] {
-				t.Fatalf("force=%v trial %d: word path (%v,%v) != bit path (%v,%v)",
-					force, trial, words[0], words[1], bits[0], bits[1])
-			}
-		}
-	}
-}
-
 // TestWorkerDeterminism is the determinism gate of the executor
 // refactor: the same seed must produce identical fronts, constrained
 // picks and evaluation counts at workers=1 and workers=4 on a mid-size

@@ -17,9 +17,9 @@ import (
 // Every objective is identified by name, registered in a global
 // registry whose registration order defines the canonical objective
 // order, and compiled against a completed criticality analysis into
-// either a linear form (base + per-primitive integer weights — the
-// form the word-level subset-sum fast path accelerates) or an opaque
-// genome-level evaluator.
+// either a linear form (base + per-primitive integer weights, summed
+// over the set bits and updated per flipped bit by delta evaluation) or
+// an opaque genome-level evaluator.
 //
 // All four built-in objectives are affine in the hardened-bit set, so
 // they share one exact integer evaluation pipeline: residual damage
@@ -27,8 +27,8 @@ import (
 // test-time overhead (weight = the number of instrument access
 // patterns whose scan path traverses primitive j) and expected-yield
 // loss (fixed-point micro-damage weights from the Poisson defect
-// model). Integer weights keep the word-table path and the per-bit
-// oracle bit-identical — float64 tables would reassociate sums.
+// model). Integer weights keep full and incremental (delta) evaluation
+// bit-identical — float64 sums would depend on summation order.
 
 // Built-in objective names, in canonical order.
 const (
@@ -54,7 +54,7 @@ type ObjectiveProvider interface {
 // with weights indexed in analysis bit order (a.Prims). Scale divides
 // the integer value into reported units (1 means the value is already
 // in natural units); the optimizer always works on the undivided
-// integers so word-level and bit-level evaluation agree exactly.
+// integers so full and delta evaluation agree exactly.
 type LinearObjective interface {
 	ObjectiveProvider
 	Linear(a *faults.Analysis) (base int64, weights []int64, scale float64, err error)
@@ -311,7 +311,7 @@ func testTimeWeights(a *faults.Analysis) []int64 {
 
 // yieldScale is the fixed-point scale of the yield-loss objective:
 // expected damage is a float in the Poisson model, but the optimizer
-// needs integer weights for exact word/bit-path agreement, so the
+// needs integer weights for exact full/delta agreement, so the
 // provider works in micro-damage units. With damages up to ~2^31 the
 // scaled values stay far below 2^53, so the float64 objective slots
 // remain exact.
@@ -355,14 +355,13 @@ func init() {
 }
 
 // compiledObjective is one objective compiled against an analysis,
-// ready for evaluation: either the linear form (weights, with optional
-// word tables) or a genome-level evaluator.
+// ready for evaluation: either the linear form (base and weights) or a
+// genome-level evaluator.
 type compiledObjective struct {
 	name    string
 	base    int64
 	weights []int64
-	tabs    [][256]int64 // word-level fast path; nil above wordEvalMaxBits
-	scale   float64      // divides integer values into reported units
+	scale   float64 // divides integer values into reported units
 	eval    func(moea.Genome) float64
 	max     float64 // inclusive upper bound, for the reference point
 	// flip holds the per-bit 0→1 deltas of the incremental path: the
@@ -396,9 +395,6 @@ func compileObjectives(a *faults.Analysis, names []string) ([]compiledObjective,
 			co.flip = w
 			if scale > 0 {
 				co.scale = scale
-			}
-			if len(w) <= wordEvalMaxBits {
-				co.tabs = buildWordTables(w)
 			}
 			hi := base
 			for _, x := range w {

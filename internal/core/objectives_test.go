@@ -78,11 +78,11 @@ func TestParseObjectives(t *testing.T) {
 	}
 }
 
-// TestKObjectiveEvaluateOracle cross-checks the three evaluation paths
-// of a general-objective problem — word tables, per-bit weights and a
-// naive recomputation from the compiled linear forms — on random
-// genomes, with and without a forced-critical mask. The damage and
-// cost slots must also agree exactly with the 2-obj fast path.
+// TestKObjectiveEvaluateOracle cross-checks a general-objective
+// problem's evaluation against a naive recomputation from the compiled
+// linear forms on random genomes, with and without a forced-critical
+// mask. The damage and cost slots must also agree exactly with the
+// 2-obj fast path.
 func TestKObjectiveEvaluateOracle(t *testing.T) {
 	for _, force := range []bool{false, true} {
 		a := analyzeNet(t, fixture.NestedSIBs())
@@ -94,34 +94,26 @@ func TestKObjectiveEvaluateOracle(t *testing.T) {
 			t.Fatalf("NumObjectives = %d, want 4", p.NumObjectives())
 		}
 		fast := NewProblem(a, force)
-		// A table-free clone exercises the per-bit branch.
-		noTabs := *p
-		noTabs.objs = append([]compiledObjective(nil), p.objs...)
-		for k := range noTabs.objs {
-			noTabs.objs[k].tabs = nil
-		}
 		rng := rand.New(rand.NewSource(9))
 		for trial := 0; trial < 200; trial++ {
 			g := moea.NewGenome(p.NumBits())
 			for i := 0; i < p.NumBits(); i++ {
 				g.Set(i, rng.Intn(2) == 0)
 			}
-			words := make([]float64, 4)
-			bits4 := make([]float64, 4)
-			p.Evaluate(g, words)
-			noTabs.Evaluate(g, bits4)
+			got := make([]float64, 4)
+			p.Evaluate(g, got)
 			naive := naiveEvaluate(p, g)
-			for k := range words {
-				if words[k] != bits4[k] || words[k] != naive[k] {
-					t.Fatalf("force=%v trial %d obj %s: word %v, bit %v, naive %v",
-						force, trial, p.names[k], words[k], bits4[k], naive[k])
+			for k := range got {
+				if got[k] != naive[k] {
+					t.Fatalf("force=%v trial %d obj %s: K path %v, naive %v",
+						force, trial, p.names[k], got[k], naive[k])
 				}
 			}
 			pair := make([]float64, 2)
 			fast.Evaluate(g, pair)
-			if words[0] != pair[0] || words[1] != pair[1] {
+			if got[0] != pair[0] || got[1] != pair[1] {
 				t.Fatalf("force=%v: K-path (damage,cost) = (%v,%v), fast path = (%v,%v)",
-					force, words[0], words[1], pair[0], pair[1])
+					force, got[0], got[1], pair[0], pair[1])
 			}
 		}
 	}

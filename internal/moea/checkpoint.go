@@ -40,17 +40,11 @@ type Checkpoint struct {
 	Population int
 	Memoized   bool
 	// NumObjectives is the objective-vector length of every serialized
-	// individual and cache entry. Since format version 2 the engine
-	// writes it explicitly, so an empty population cannot misreport the
-	// run's objective count; when zero, the encoder falls back to
-	// inferring it from the first serialized vector (the v1 behavior,
-	// kept for hand-built checkpoints).
+	// individual and cache entry. The engine writes it explicitly, so an
+	// empty population cannot misreport the run's objective count; when
+	// zero, the encoder infers it from the first serialized vector (for
+	// hand-built checkpoints).
 	NumObjectives int
-	// version is the format version the checkpoint was decoded from
-	// (zero for in-memory checkpoints, which encode to the current
-	// version); re-encoding preserves it so decode∘encode is the
-	// identity on valid inputs of either version.
-	version byte
 	// Generation is the loop index the checkpoint was captured at; the
 	// resumed run re-enters the loop there.
 	Generation int
@@ -61,12 +55,10 @@ type Checkpoint struct {
 	// accounting of the interrupted prefix.
 	Evaluations            int
 	CacheHits, CacheMisses int64
-	// DeltaEvals and FullEvals split Evaluations by evaluation path
-	// (format version 3; zero when decoded from older checkpoints, which
-	// predate delta evaluation).
+	// DeltaEvals and FullEvals split Evaluations by evaluation path.
 	DeltaEvals, FullEvals int
-	// Islands is the island count of an island-model run (format
-	// version 3; zero for a classic single-population checkpoint). An
+	// Islands is the island count of an island-model run (zero for a
+	// classic single-population checkpoint). An
 	// island checkpoint carries the whole lockstep state in IslandCkpts
 	// — one nested single-population checkpoint per island, in ring
 	// order — and its own Pop/Archive/Memo are empty: the top level
@@ -96,20 +88,16 @@ type MemoEntry struct {
 	Obj    []float64
 }
 
-// ckptMagic identifies the format; the trailing byte is the current
-// version. Version 2 made the header objective count authoritative
-// (v1 inferred it from the first serialized individual at encode time,
-// which misreports on an empty population). Version 3 added the
-// delta/full evaluation split to the header and, for island-model runs,
-// an island section: a count after the memo count and one
-// length-prefixed nested checkpoint blob per island after the memo
-// entries. The decoder accepts all three versions and re-encoding
-// preserves the decoded version, so decode∘encode stays the identity.
+// ckptMagic identifies the format; the trailing byte is the version.
+// Checkpoints are transient run state, so the decoder accepts only the
+// current version (3). Its header carries the objective count and the
+// delta/full evaluation split; an island section follows the memo
+// entries: a count after the memo count and one length-prefixed nested
+// checkpoint blob per island.
 var ckptMagic = [8]byte{'R', 'S', 'N', 'C', 'K', 'P', 'T', ckptVersion}
 
 const (
-	ckptVersion    = 3
-	ckptVersionMin = 1
+	ckptVersion = 3
 	// ckptMaxIslands bounds the island count accepted by the decoder;
 	// far above any real configuration.
 	ckptMaxIslands = 4096
@@ -124,18 +112,13 @@ const ckptMaxBits = 1 << 28
 // the individuals and cache entries, and a trailing FNV-1a checksum
 // over everything before it.
 func EncodeCheckpoint(cp *Checkpoint) []byte {
-	ver := cp.version
-	if ver == 0 {
-		ver = ckptVersion
-	}
 	nwords := (cp.NumBits + 63) / 64
 	m := cp.headerObjectives()
 	indSize := nwords*8 + m*8 + 16
 	size := len(ckptMagic) + 1 + len(cp.Algorithm) + 89 +
 		(len(cp.Pop)+len(cp.Archive))*indSize + len(cp.Memo)*(nwords*8+m*8) + 8
 	b := make([]byte, 0, size)
-	b = append(b, ckptMagic[:7]...)
-	b = append(b, ver)
+	b = append(b, ckptMagic[:]...)
 	b = append(b, byte(len(cp.Algorithm)))
 	b = append(b, cp.Algorithm...)
 	b = le64(b, uint64(cp.Seed))
@@ -152,16 +135,12 @@ func EncodeCheckpoint(cp *Checkpoint) []byte {
 	b = le64(b, uint64(cp.Evaluations))
 	b = le64(b, uint64(cp.CacheHits))
 	b = le64(b, uint64(cp.CacheMisses))
-	if ver >= 3 {
-		b = le64(b, uint64(cp.DeltaEvals))
-		b = le64(b, uint64(cp.FullEvals))
-	}
+	b = le64(b, uint64(cp.DeltaEvals))
+	b = le64(b, uint64(cp.FullEvals))
 	b = le32(b, uint32(len(cp.Pop)))
 	b = le32(b, uint32(len(cp.Archive)))
 	b = le32(b, uint32(len(cp.Memo)))
-	if ver >= 3 {
-		b = le32(b, uint32(len(cp.IslandCkpts)))
-	}
+	b = le32(b, uint32(len(cp.IslandCkpts)))
 	for _, in := range cp.Pop {
 		b = appendGenome(b, in.Genome, nwords)
 		b = appendFloats(b, in.Obj)
@@ -178,12 +157,10 @@ func EncodeCheckpoint(cp *Checkpoint) []byte {
 		b = appendGenome(b, e.Genome, nwords)
 		b = appendFloats(b, e.Obj)
 	}
-	if ver >= 3 {
-		for _, ic := range cp.IslandCkpts {
-			blob := EncodeCheckpoint(ic)
-			b = le32(b, uint32(len(blob)))
-			b = append(b, blob...)
-		}
+	for _, ic := range cp.IslandCkpts {
+		blob := EncodeCheckpoint(ic)
+		b = le32(b, uint32(len(blob)))
+		b = append(b, blob...)
 	}
 	return le64(b, fnv1a(b))
 }
@@ -229,8 +206,7 @@ func decodeCheckpoint(data []byte, depth int) (*Checkpoint, error) {
 	if len(data) < len(ckptMagic)+8 {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than the envelope", ErrCheckpointCorrupt, len(data))
 	}
-	if [7]byte(data[:7]) != [7]byte(ckptMagic[:7]) ||
-		data[7] < ckptVersionMin || data[7] > ckptVersion {
+	if [8]byte(data[:8]) != ckptMagic {
 		return nil, fmt.Errorf("%w: bad magic or version", ErrCheckpointCorrupt)
 	}
 	body, sum := data[:len(data)-8], binary.LittleEndian.Uint64(data[len(data)-8:])
@@ -238,7 +214,7 @@ func decodeCheckpoint(data []byte, depth int) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCheckpointCorrupt)
 	}
 	r := ckptReader{b: body[8:]}
-	cp := &Checkpoint{version: data[7]}
+	cp := &Checkpoint{}
 	alen := int(r.u8())
 	cp.Algorithm = string(r.take(alen))
 	cp.Seed = int64(r.u64())
@@ -252,17 +228,12 @@ func decodeCheckpoint(data []byte, depth int) (*Checkpoint, error) {
 	cp.Evaluations = int(r.u64())
 	cp.CacheHits = int64(r.u64())
 	cp.CacheMisses = int64(r.u64())
-	if cp.version >= 3 {
-		cp.DeltaEvals = int(r.u64())
-		cp.FullEvals = int(r.u64())
-	}
+	cp.DeltaEvals = int(r.u64())
+	cp.FullEvals = int(r.u64())
 	npop := int(r.u32())
 	narch := int(r.u32())
 	nmemo := int(r.u32())
-	nislands := 0
-	if cp.version >= 3 {
-		nislands = int(r.u32())
-	}
+	nislands := int(r.u32())
 	if r.bad {
 		return nil, fmt.Errorf("%w: truncated header", ErrCheckpointCorrupt)
 	}
@@ -279,15 +250,11 @@ func decodeCheckpoint(data []byte, depth int) (*Checkpoint, error) {
 	indSize := uint64(nwords)*8 + uint64(m)*8 + 16
 	memoSize := uint64(nwords)*8 + uint64(m)*8
 	want := uint64(npop)*indSize + uint64(narch)*indSize + uint64(nmemo)*memoSize
-	if cp.version >= 3 {
-		// The island blobs that follow the memo entries are
-		// length-prefixed, so only a lower bound is known here; the
-		// trailing-bytes check below closes the envelope.
-		if uint64(len(r.b)) < want {
-			return nil, fmt.Errorf("%w: payload is %d bytes, header implies at least %d", ErrCheckpointCorrupt, len(r.b), want)
-		}
-	} else if uint64(len(r.b)) != want {
-		return nil, fmt.Errorf("%w: payload is %d bytes, header implies %d", ErrCheckpointCorrupt, len(r.b), want)
+	// The island blobs that follow the memo entries are length-prefixed,
+	// so only a lower bound is known here; the trailing-bytes check below
+	// closes the envelope.
+	if uint64(len(r.b)) < want {
+		return nil, fmt.Errorf("%w: payload is %d bytes, header implies at least %d", ErrCheckpointCorrupt, len(r.b), want)
 	}
 	readInd := func() CheckpointIndividual {
 		var in CheckpointIndividual

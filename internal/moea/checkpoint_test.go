@@ -115,6 +115,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	cp := &Checkpoint{
 		Algorithm: "spea2", Seed: -42, NumBits: 130, Population: 4, Memoized: true,
 		Generation: 9, RNGDraws: 12345, Evaluations: 678, CacheHits: 11, CacheMisses: 22,
+		DeltaEvals: 600, FullEvals: 78,
 		Pop: []CheckpointIndividual{
 			{Genome: Genome{1, 2, 3}, Obj: []float64{1.5, -2.5}, Fitness: 0.25, Density: 3.75},
 			{Genome: Genome{4, 5, 6}, Obj: []float64{0, 7}, Fitness: 1, Density: 0},
@@ -128,20 +129,18 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The decoder materializes the header objective count and the
-	// format version the bytes carried.
+	// The decoder materializes the header objective count.
 	cp.NumObjectives = 2
-	cp.version = ckptVersion
 	want := fmt.Sprintf("%+v", cp)
 	if fmt.Sprintf("%+v", got) != want {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %s", got, want)
 	}
 }
 
-// TestCheckpointEmptyPopObjectives is the regression test for the v2
-// header: with an empty population the v1 codec inferred m=0 from the
-// (missing) first individual, so a crafted empty-pop checkpoint
-// misreported the run's objective count. The explicit header field must
+// TestCheckpointEmptyPopObjectives pins the explicit header objective
+// count: inferring m from the first individual gives m=0 on an empty
+// population, so a crafted empty-pop checkpoint would misreport the
+// run's objective count. The explicit header field must
 // survive the round trip even when nothing else in the payload records
 // it, and resume validation must use it.
 func TestCheckpointEmptyPopObjectives(t *testing.T) {
@@ -159,15 +158,15 @@ func TestCheckpointEmptyPopObjectives(t *testing.T) {
 	if got.numObjectives() != 0 {
 		t.Errorf("inference on empty pop = %d, want 0 (the misreport the header fixes)", got.numObjectives())
 	}
-	// A v1-style checkpoint of the same run (no explicit count) decodes
+	// A hand-built checkpoint of the same run (no explicit count) decodes
 	// with the inferred — wrong — zero, proving the field is load-bearing.
-	v1 := &Checkpoint{Algorithm: "spea2", Seed: 5, NumBits: 12, Population: 4, Generation: 1}
-	gotV1, err := DecodeCheckpoint(EncodeCheckpoint(v1))
+	inferred := &Checkpoint{Algorithm: "spea2", Seed: 5, NumBits: 12, Population: 4, Generation: 1}
+	gotInferred, err := DecodeCheckpoint(EncodeCheckpoint(inferred))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotV1.NumObjectives != 0 {
-		t.Errorf("inferred empty-pop checkpoint decoded NumObjectives = %d, want 0", gotV1.NumObjectives)
+	if gotInferred.NumObjectives != 0 {
+		t.Errorf("inferred empty-pop checkpoint decoded NumObjectives = %d, want 0", gotInferred.NumObjectives)
 	}
 	// Resume validation reads the explicit header count: a 3-objective
 	// checkpoint must not validate against a 2-objective engine.
@@ -216,6 +215,23 @@ func TestCheckpointDecodeCorrupt(t *testing.T) {
 	t.Run("extension", func(t *testing.T) {
 		if _, err := DecodeCheckpoint(append(append([]byte(nil), data...), 0xAA)); !errors.Is(err, ErrCheckpointCorrupt) {
 			t.Errorf("appended byte: error does not wrap ErrCheckpointCorrupt")
+		}
+	})
+	// A well-formed version 2 checkpoint: the v3 bytes without the
+	// delta/full header fields and the island count, with a valid
+	// checksum. Only the current version decodes.
+	t.Run("v2", func(t *testing.T) {
+		delta := len(ckptMagic) + 1 + len(cp.Algorithm) + 57 // offset of DeltaEvals
+		counts := delta + 16                                 // pop, archive and memo counts
+		body := data[:len(data)-8]
+		var v2 []byte
+		v2 = append(v2, body[:delta]...)
+		v2 = append(v2, body[counts:counts+12]...)
+		v2 = append(v2, body[counts+16:]...)
+		v2[7] = 2
+		v2 = le64(v2, fnv1a(v2))
+		if _, err := DecodeCheckpoint(v2); !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Errorf("version 2 checkpoint: error %v does not wrap ErrCheckpointCorrupt", err)
 		}
 	})
 }

@@ -359,7 +359,6 @@ func TestIslandCheckpointRoundTrip(t *testing.T) {
 // checkpoint that was encoded from a sparse literal.
 func withDecodedDefaults(cp *Checkpoint) *Checkpoint {
 	cp.NumObjectives = 2
-	cp.version = ckptVersion
 	return cp
 }
 
