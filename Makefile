@@ -39,13 +39,12 @@ perfbench-test:
 	cd perfbench && GOFLAGS= GOWORK=off GOPROXY=off GOTOOLCHAIN=local $(GO) test ./...
 
 # Determinism gate: identical fronts, picks and evaluation counts at
-# every worker count, scheduler job count, island count, with the
-# evaluation cache on or off, with incremental (delta) evaluation
-# against the full-evaluation oracle, across checkpoint/resume
-# boundaries, and under injected faults. WorkerInvariance also matches
-# the island-count invariance matrix (islands x workers). SelectionOracle
-# matches the read-driven two-objective selection against the full
-# fitness assignment and pairwise truncation, at one and three workers.
+# every worker count and scheduler job count, with the evaluation cache
+# on or off, with incremental (delta) evaluation against the
+# full-evaluation oracle, across checkpoint/resume boundaries, and
+# under injected faults. SelectionOracle matches the read-driven
+# two-objective selection against the full fitness assignment and
+# pairwise truncation, at one and three workers.
 determinism:
 	$(GO) test -run 'WorkerDeterminism|WorkerInvariance|RunSetDeterminism|MemoOracle|DeltaOracle|ResumeEquivalence|ChaosGraceful|SelectionOracle' ./internal/core ./internal/moea ./internal/chaos ./cmd/rsnharden
 

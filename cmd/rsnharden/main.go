@@ -58,7 +58,6 @@ func main() {
 		rep     = flag.Bool("report", false, "print the robustness report of the damage<=10% solution (single- and double-fault)")
 		stag    = flag.Int("stagnation", 0, "stop early after N generations without hypervolume improvement (0 = full budget)")
 		workers = flag.Int("workers", 0, "objective-evaluation workers (0 = GOMAXPROCS, 1 = serial); results are identical at any count")
-		islands = flag.Int("islands", 0, "island-model sub-populations with ring migration (0/1 = single population); results depend only on seed and island count")
 		seeds   = flag.Int("seeds", 1, "run this many consecutive seeds (seed .. seed+N-1) and report per-seed plus aggregate results")
 		jobs    = flag.Int("jobs", 0, "concurrent synthesis jobs in multi-seed mode (0 = GOMAXPROCS, 1 = serial); results are identical at any count")
 		scope   = flag.String("universe", "all", "fault universe: all or control")
@@ -159,7 +158,7 @@ func main() {
 			in: *in, name: *name, genspec: *genspec,
 			generations: generations, seed: *seed, seeds: *seeds, jobs: *jobs,
 			algo: *algo, scope: *scope, force: *force, stag: *stag, workers: *workers,
-			islands: *islands, deadline: *ddl, objectives: objNames,
+			deadline: *ddl, objectives: objNames,
 		}, tel, logger)
 		if err != nil {
 			fail(err)
@@ -189,7 +188,6 @@ func main() {
 	opt.ForceCritical = *force
 	opt.Stagnation = *stag
 	opt.Workers = *workers
-	opt.Islands = *islands
 	opt.Objectives = objNames
 	opt.Telemetry = tel
 	opt.Context = ctx
@@ -204,11 +202,9 @@ func main() {
 		logger.Info("resuming", "checkpoint", *resume, "generation", cp.Generation)
 	}
 	if *prog {
-		opt.OnGeneration = func(gen int, front []moea.Individual) bool {
-			if g, ok := tel.LastGeneration(); ok {
-				fmt.Fprintf(os.Stderr, "\rgen %-6d front %-5d hv %6.2f%%  best dmg %-10.0f best cost %-8.0f evals %-9d",
-					g.Gen+1, g.Front, 100*g.NormHV, g.BestDamage, g.BestCost, g.Evaluations)
-			}
+		opt.OnProgress = func(p core.Progress) bool {
+			fmt.Fprintf(os.Stderr, "\rgen %-6d front %-5d hv %6.2f%%  best dmg %-10.0f best cost %-8.0f evals %-9d",
+				p.Gen+1, p.Front, 100*p.NormHV, p.BestDamage, p.BestCost, p.Evaluations)
 			return true
 		}
 	}
@@ -443,7 +439,6 @@ type sweepConfig struct {
 	force       bool
 	stag        int
 	workers     int
-	islands     int
 	deadline    time.Duration
 	objectives  []string
 }
@@ -564,7 +559,6 @@ func runOneSeed(ctx context.Context, cfg sweepConfig, seed int64, tel *telemetry
 	opt.ForceCritical = cfg.force
 	opt.Stagnation = cfg.stag
 	opt.Workers = cfg.workers
-	opt.Islands = cfg.islands
 	opt.Objectives = cfg.objectives
 	opt.Telemetry = tel
 	opt.ParentSpan = span

@@ -55,7 +55,6 @@ func main() {
 		cpu     = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		mem     = flag.String("memprofile", "", "write a heap profile to this file")
 		workers = flag.Int("workers", 0, "objective-evaluation workers (0 = GOMAXPROCS, 1 = serial); results are identical at any count")
-		islands = flag.Int("islands", 0, "island-model sub-populations with ring migration (0/1 = single population); results depend only on seed and island count")
 		jobs    = flag.Int("jobs", 0, "concurrent synthesis jobs (0 = GOMAXPROCS, 1 = serial); rows and output order are identical at any count")
 		ckpt    = flag.String("checkpoint", "", "write one checkpoint per row (<dir>/<name>.ckpt) into this directory")
 		ckptN   = flag.Int("checkpoint-every", 10, "generations between periodic checkpoints (with -checkpoint)")
@@ -168,7 +167,7 @@ func main() {
 			}
 			row, err := runRow(jctx, e, rowOpts{
 				seed: *seed, quick: *quick, algo: *algo, scope: *scope,
-				refine: *refine, workers: *workers, islands: *islands,
+				refine: *refine, workers: *workers,
 				ckptDir: *ckpt, resumeDir: *resume, ckptEvery: *ckptN,
 				objectives: objNames,
 			}, w)
@@ -240,7 +239,6 @@ type rowOpts struct {
 	algo, scope        string
 	refine             bool
 	workers            int
-	islands            int
 	ckptDir, resumeDir string
 	ckptEvery          int
 	objectives         []string
@@ -298,7 +296,6 @@ func runRow(ctx context.Context, e benchnets.Entry, ro rowOpts, telWriter io.Wri
 	}
 	opt := core.DefaultOptions(budget(e, quick), seed)
 	opt.Workers = ro.workers
-	opt.Islands = ro.islands
 	opt.Objectives = ro.objectives
 	opt.Context = ctx
 	if ro.ckptDir != "" {

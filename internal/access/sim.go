@@ -189,13 +189,6 @@ func (s *Simulator) InjectFault(f faults.Fault) error {
 	return nil
 }
 
-// ClearFault removes all injected faults (but not their data
-// corruption).
-func (s *Simulator) ClearFault() {
-	s.flts = nil
-	s.dirty()
-}
-
 // Fault returns the first injected fault, or nil. Use Faults for the
 // complete list.
 func (s *Simulator) Fault() *faults.Fault {

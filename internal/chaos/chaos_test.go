@@ -146,78 +146,6 @@ func TestChaosGracefulCancel(t *testing.T) {
 	}
 }
 
-// TestChaosGracefulCancelIslands cancels an island-model run on a
-// migration generation and checks the partial-result contract: a valid
-// merged (nondominated) front survives, the periodic checkpoint written
-// before the cancellation loads, and resuming from it converges to the
-// uninterrupted run — cancellation mid-migration cannot corrupt the
-// island state or the ring schedule.
-func TestChaosGracefulCancelIslands(t *testing.T) {
-	mkPar := func(workers int) moea.Params {
-		par := params(9, workers, true)
-		par.Generations = 16
-		par.Islands = 3
-		par.MigrationEvery = 4
-		return par
-	}
-	clean, err := moea.SPEA2(newTestProblem(3, 40), mkPar(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		base := runtime.NumGoroutine()
-		// Generation 8 is a migration generation (8 % MigrationEvery == 0):
-		// the cancellation lands on the exchange itself.
-		ctx, onGen := CancelAtGeneration(8)
-		par := mkPar(workers)
-		par.Context = ctx
-		par.OnGeneration = onGen
-		par.CheckpointEvery = 1
-		var last *moea.Checkpoint
-		par.CheckpointFn = func(cp *moea.Checkpoint) error {
-			var err error
-			last, err = moea.DecodeCheckpoint(moea.EncodeCheckpoint(cp))
-			return err
-		}
-		res, err := moea.SPEA2(newTestProblem(3, 40), par)
-		if err != nil {
-			t.Fatalf("workers=%d: cancelled island run errored: %v", workers, err)
-		}
-		if !res.Interrupted {
-			t.Errorf("workers=%d: Interrupted not set", workers)
-		}
-		if len(res.Front) == 0 {
-			t.Fatalf("workers=%d: cancelled island run lost its merged front", workers)
-		}
-		// The partial front is a valid merged front: mutually nondominated.
-		for i := range res.Front {
-			for j := range res.Front {
-				if i != j && moea.Dominates(res.Front[j].Obj, res.Front[i].Obj) {
-					t.Errorf("workers=%d: partial merged front member %d dominated by %d", workers, i, j)
-				}
-			}
-		}
-		if last == nil {
-			t.Fatalf("workers=%d: no checkpoint survived the cancellation", workers)
-		}
-		if last.Islands != 3 || len(last.IslandCkpts) != 3 {
-			t.Errorf("workers=%d: checkpoint records %d islands (%d states), want 3",
-				workers, last.Islands, len(last.IslandCkpts))
-		}
-		rpar := mkPar(workers)
-		rpar.Resume = last
-		resumed, err := moea.SPEA2(newTestProblem(3, 40), rpar)
-		if err != nil {
-			t.Fatalf("workers=%d: resume from cancelled island run: %v", workers, err)
-		}
-		if fingerprint(resumed) != fingerprint(clean) {
-			t.Errorf("workers=%d: resumed island run differs from uninterrupted run\n got %s\nwant %s",
-				workers, fingerprint(resumed), fingerprint(clean))
-		}
-		checkNoGoroutineLeak(t, base)
-	}
-}
-
 // TestChaosDelayInvariance injects batch and evaluation delays and
 // checks that timing perturbation cannot change the result — the
 // determinism guarantee extends to slow, jittery evaluation.

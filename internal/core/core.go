@@ -23,6 +23,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"time"
 
 	"rsnrobust/internal/faults"
@@ -93,12 +94,6 @@ type Options struct {
 	// GOMAXPROCS, 1 forces serial evaluation. Results are bit-for-bit
 	// identical at every worker count.
 	Workers int
-	// Islands, if greater than 1, partitions the run into that many
-	// independently seeded sub-populations evolving in lockstep with
-	// deterministic ring migration (see moea.Params.Islands). The final
-	// front merges all islands; results depend only on (Seed, Islands),
-	// never on Workers.
-	Islands int
 	// Stagnation, if positive, stops the evolution early once the
 	// front's hypervolume has not improved for that many consecutive
 	// generations — the practical alternative to the paper's fixed
@@ -138,14 +133,10 @@ type Options struct {
 	// population, memoization); Stagnation cannot be combined with
 	// Resume — the early-stop state is not checkpointed.
 	Resume *moea.Checkpoint
-	// OnGeneration, if non-nil, receives progress callbacks.
-	OnGeneration func(gen int, front []moea.Individual) bool
 	// OnProgress, if non-nil, receives one Progress per generation with
-	// exact per-run convergence and effort counters — unlike the
-	// collector's generation records, these are scoped to this run alone
-	// and safe under concurrent synthesis jobs sharing a collector.
-	// Returning false stops the run early (same contract as
-	// OnGeneration; both may be set and both are honored).
+	// exact per-run convergence and effort counters, scoped to this run
+	// alone and safe under concurrent synthesis jobs sharing a
+	// collector. Returning false stops the run early.
 	OnProgress func(p Progress) bool
 	// Telemetry, if non-nil, receives span timings for every pipeline
 	// stage, structural gauges from the tree and the analysis, the
@@ -229,9 +220,6 @@ type Synthesis struct {
 	// identical at every worker count.
 	DeltaEvals int
 	FullEvals  int
-	// Islands is the island count the run used (0 or 1: single
-	// population).
-	Islands int
 	// CacheHits and CacheMisses are the evaluation-cache counts (both
 	// zero when Options.Memoize is off).
 	CacheHits   int64
@@ -680,11 +668,6 @@ func Synthesize(net *rsn.Network, sp *spec.Spec, opt Options) (*Synthesis, error
 	if err != nil {
 		return fail(nil, err)
 	}
-	// ref is the hypervolume reference point over the run's objective
-	// set; every convergence hook below shares it.
-	ref := moea.RefPoint(problem.ObjectiveMaxes()...)
-	evals := tel.Counter("moea.evaluations")
-
 	var params moea.Params
 	if opt.Params != nil {
 		params = *opt.Params
@@ -703,23 +686,14 @@ func Synthesize(net *rsn.Network, sp *spec.Spec, opt Options) (*Synthesis, error
 	if opt.Workers != 0 {
 		params.Workers = opt.Workers
 	}
-	if opt.Islands != 0 {
-		params.Islands = opt.Islands
-	}
 	workers := params.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	params.OnGeneration = opt.OnGeneration
-	if tel != nil {
-		params.OnGeneration = telemetryProgress(tel, ref, evals, opt.OnGeneration)
-	}
-	if opt.Stagnation > 0 {
-		params.OnGeneration = stagnationStop(opt.Stagnation, ref, params.OnGeneration)
-	}
-	if opt.OnProgress != nil {
-		params.OnProgress = progressHook(ref, opt.OnProgress)
-	}
+	// Synthesize owns the per-generation hooks; hooks in opt.Params are
+	// not called.
+	params.OnGeneration = nil
+	params.OnProgress = generationHook(problem, &opt)
 	params.Context = opt.Context
 	params.Resume = opt.Resume
 	if opt.CheckpointFn != nil && opt.CheckpointPath != "" {
@@ -782,7 +756,6 @@ func Synthesize(net *rsn.Network, sp *spec.Spec, opt Options) (*Synthesis, error
 		Evaluations: res.Evaluations,
 		DeltaEvals:  res.DeltaEvals,
 		FullEvals:   res.FullEvals,
-		Islands:     max(params.Islands, 1),
 		CacheHits:   res.CacheHits,
 		CacheMisses: res.CacheMisses,
 		EvolveTime:  evolveTime,
@@ -806,106 +779,89 @@ func Synthesize(net *rsn.Network, sp *spec.Spec, opt Options) (*Synthesis, error
 	return s, nil
 }
 
-// telemetryProgress composes a convergence-recording callback with an
-// optional user callback: after every generation it records front size,
-// hypervolume (raw and normalized to the reference box), the two
-// per-objective bests, the cumulated evaluation count and the
-// generation wall time.
-func telemetryProgress(tel *telemetry.Collector, ref []float64, evals *telemetry.Counter, user func(int, []moea.Individual) bool) func(int, []moea.Individual) bool {
-	genHist := tel.Histogram("moea.gen_ms")
-	last := time.Now()
-	return func(gen int, front []moea.Individual) bool {
-		now := time.Now()
-		genMS := float64(now.Sub(last)) / float64(time.Millisecond)
-		last = now
-		hv := moea.Hypervolume(front, ref)
-		bestD, bestC := math.Inf(1), math.Inf(1)
-		for i := range front {
-			if front[i].Obj[0] < bestD {
-				bestD = front[i].Obj[0]
-			}
-			if front[i].Obj[1] < bestC {
-				bestC = front[i].Obj[1]
-			}
-		}
-		if len(front) == 0 {
-			bestD, bestC = 0, 0
-		}
-		tel.RecordGeneration(telemetry.Generation{
-			Gen:         gen,
-			Front:       len(front),
-			Hypervolume: hv,
-			NormHV:      moea.NormalizedHypervolume(front, ref),
-			BestDamage:  bestD,
-			BestCost:    bestC,
-			Evaluations: evals.Value(),
-			ElapsedMS:   genMS,
-		})
-		genHist.Observe(genMS)
-		if user != nil {
-			return user(gen, front)
-		}
-		return true
+// generationHook is the one per-generation adapter on the optimizer's
+// exact progress protocol. It computes the convergence record once —
+// front size, hypervolume (raw and normalized to the reference box),
+// the best damage and best cost, the run's own evaluation count and the
+// generation wall time — and feeds it to the telemetry collector and
+// the moea.gen_ms histogram, the hypervolume-stagnation stop and
+// Options.OnProgress. It is nil when none of the three is configured.
+func generationHook(problem *Problem, opt *Options) func(moea.Progress, []moea.Individual) bool {
+	tel, window, user := opt.Telemetry, opt.Stagnation, opt.OnProgress
+	if tel == nil && window <= 0 && user == nil {
+		return nil
 	}
-}
-
-// progressHook adapts Options.OnProgress to the optimizer's exact
-// per-run progress protocol: convergence quality (front size,
-// hypervolume, per-objective bests) is computed here from the live
-// front, effort counters come verbatim from the engine's accounting.
-func progressHook(ref []float64, user func(Progress) bool) func(moea.Progress, []moea.Individual) bool {
+	ref := moea.RefPoint(problem.ObjectiveMaxes()...)
+	genHist := tel.Histogram("moea.gen_ms")
+	bestHV, flat := -1.0, 0
 	last := time.Now()
 	return func(p moea.Progress, front []moea.Individual) bool {
 		now := time.Now()
 		genMS := float64(now.Sub(last)) / float64(time.Millisecond)
 		last = now
-		bestD, bestC := math.Inf(1), math.Inf(1)
-		for i := range front {
-			if front[i].Obj[0] < bestD {
-				bestD = front[i].Obj[0]
-			}
-			if front[i].Obj[1] < bestC {
-				bestC = front[i].Obj[1]
+		hv := moea.Hypervolume(front, ref)
+		bestD, bestC := problem.bestDamageCost(front)
+		g := telemetry.Generation{
+			Gen:         p.Gen,
+			Front:       len(front),
+			Hypervolume: hv,
+			NormHV:      moea.NormalizedHypervolume(front, ref),
+			BestDamage:  bestD,
+			BestCost:    bestC,
+			Evaluations: int64(p.Evaluations),
+			ElapsedMS:   genMS,
+		}
+		tel.RecordGeneration(g)
+		genHist.Observe(genMS)
+		cont := true
+		if window > 0 {
+			if hv > bestHV {
+				bestHV, flat = hv, 0
+			} else {
+				flat++
+				cont = flat < window
 			}
 		}
-		if len(front) == 0 {
-			bestD, bestC = 0, 0
+		if user != nil && !user(Progress{Generation: g, CacheHits: p.CacheHits, CacheMisses: p.CacheMisses}) {
+			cont = false
 		}
-		return user(Progress{
-			Generation: telemetry.Generation{
-				Gen:         p.Gen,
-				Front:       len(front),
-				Hypervolume: moea.Hypervolume(front, ref),
-				NormHV:      moea.NormalizedHypervolume(front, ref),
-				BestDamage:  bestD,
-				BestCost:    bestC,
-				Evaluations: int64(p.Evaluations),
-				ElapsedMS:   genMS,
-			},
-			CacheHits:   p.CacheHits,
-			CacheMisses: p.CacheMisses,
-		})
+		return cont
 	}
 }
 
-// stagnationStop composes a hypervolume-stagnation early stop with an
-// optional user callback.
-func stagnationStop(window int, ref []float64, user func(int, []moea.Individual) bool) func(int, []moea.Individual) bool {
-	best := -1.0
-	flat := 0
-	return func(gen int, front []moea.Individual) bool {
-		if user != nil && !user(gen, front) {
-			return false
-		}
-		hv := moea.Hypervolume(front, ref)
-		if hv > best {
-			best = hv
-			flat = 0
-			return true
-		}
-		flat++
-		return flat < window
+// bestDamageCost returns the least residual damage and the least
+// hardening cost over a front (both 0 for an empty front). Each is read
+// from its objective slot when the run optimizes it, and otherwise
+// recomputed from the genome with the damage and cost vectors every
+// Problem carries.
+func (p *Problem) bestDamageCost(front []moea.Individual) (bestD, bestC float64) {
+	if len(front) == 0 {
+		return 0, 0
 	}
+	di := slices.Index(p.names, ObjDamage)
+	ci := slices.Index(p.names, ObjCost)
+	bestD, bestC = math.Inf(1), math.Inf(1)
+	var dc [2]float64
+	for i := range front {
+		obj := front[i].Obj
+		if di < 0 || ci < 0 {
+			p.evaluateBits(front[i].G, dc[:])
+		}
+		d, c := dc[0], dc[1]
+		if di >= 0 {
+			d = obj[di]
+		}
+		if ci >= 0 {
+			c = obj[ci]
+		}
+		if d < bestD {
+			bestD = d
+		}
+		if c < bestC {
+			bestC = c
+		}
+	}
+	return bestD, bestC
 }
 
 // solutionFrom materializes a genome into a Solution.

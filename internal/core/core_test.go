@@ -307,9 +307,9 @@ func TestStagnationComposesWithUserCallback(t *testing.T) {
 	opt := DefaultOptions(300, 7)
 	opt.Stagnation = 50
 	calls := 0
-	opt.OnGeneration = func(gen int, front []moea.Individual) bool {
+	opt.OnProgress = func(p Progress) bool {
 		calls++
-		return gen < 3 // user stops first
+		return p.Gen < 3 // user stops first
 	}
 	s, err := Synthesize(net, sp, opt)
 	if err != nil {

@@ -188,51 +188,3 @@ func TestDeltaOracleDeclines(t *testing.T) {
 		t.Errorf("at-cutoff delta (%v,%v), full (%v,%v)", out[0], out[1], want[0], want[1])
 	}
 }
-
-// TestSynthesizeIslandWorkerDeterminism runs the full pipeline with
-// islands: the result is bit-identical across worker counts, records
-// the island count, and splits the evaluation accounting into delta and
-// full paths that sum to the total.
-func TestSynthesizeIslandWorkerDeterminism(t *testing.T) {
-	run := func(workers int) *Synthesis {
-		opt := DefaultOptions(30, 7)
-		opt.Islands = 2
-		opt.Workers = workers
-		return synthesizeExample(t, opt)
-	}
-	ref := run(1)
-	if ref.Islands != 2 {
-		t.Errorf("Synthesis.Islands = %d, want 2", ref.Islands)
-	}
-	if len(ref.Front) == 0 {
-		t.Fatal("empty merged front")
-	}
-	if ref.DeltaEvals+ref.FullEvals != ref.Evaluations {
-		t.Errorf("delta %d + full %d != evaluations %d", ref.DeltaEvals, ref.FullEvals, ref.Evaluations)
-	}
-	if ref.DeltaEvals == 0 {
-		t.Error("incremental path never taken on the paper example")
-	}
-	for _, workers := range []int{2, 4} {
-		s := run(workers)
-		if len(s.Front) != len(ref.Front) {
-			t.Fatalf("workers=%d: front size %d != %d", workers, len(s.Front), len(ref.Front))
-		}
-		for i := range s.Front {
-			if s.Front[i].Damage != ref.Front[i].Damage || s.Front[i].Cost != ref.Front[i].Cost {
-				t.Errorf("workers=%d: front[%d] (%d,%d) != (%d,%d)", workers, i,
-					s.Front[i].Damage, s.Front[i].Cost, ref.Front[i].Damage, ref.Front[i].Cost)
-			}
-		}
-		if s.DeltaEvals != ref.DeltaEvals || s.FullEvals != ref.FullEvals {
-			t.Errorf("workers=%d: delta/full (%d,%d) != (%d,%d)", workers,
-				s.DeltaEvals, s.FullEvals, ref.DeltaEvals, ref.FullEvals)
-		}
-	}
-	// A single-population run of the same seed is a different trajectory
-	// — the islands knob is load-bearing, not cosmetic.
-	single := synthesizeExample(t, DefaultOptions(30, 7))
-	if single.Islands != 1 {
-		t.Errorf("default Synthesis.Islands = %d, want 1", single.Islands)
-	}
-}

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"math"
 	"testing"
+
+	"rsnrobust/internal/telemetry"
 )
 
 func TestOnProgressReportsPerRunState(t *testing.T) {
@@ -60,5 +63,46 @@ func TestOnProgressEarlyStopAndDeterminism(t *testing.T) {
 		if plain.Front[i].Cost != withHook.Front[i].Cost || plain.Front[i].Damage != withHook.Front[i].Damage {
 			t.Fatalf("front member %d differs with OnProgress attached", i)
 		}
+	}
+}
+
+// TestProgressBestsByObjectiveName: with an objective set that leaves
+// out cost, the per-generation best damage and best cost still report
+// damage and cost — read by objective name or recomputed from the
+// genomes, never taken from whatever objective sits in slot 1. The
+// OnProgress report and the telemetry record agree.
+func TestProgressBestsByObjectiveName(t *testing.T) {
+	tel := telemetry.New()
+	var last Progress
+	opt := DefaultOptions(15, 3)
+	opt.Objectives = []string{ObjDamage, ObjTestTime}
+	opt.ForceCritical = true // a nonzero cost and test-time floor
+	opt.Telemetry = tel
+	opt.OnProgress = func(p Progress) bool {
+		last = p
+		return true
+	}
+	s := synthesizeExample(t, opt)
+	if got := s.Objectives; len(got) != 2 || got[1] != ObjTestTime {
+		t.Fatalf("objectives = %v, want test_time in slot 1", got)
+	}
+	wantD, wantC, minTT := math.Inf(1), math.Inf(1), math.Inf(1)
+	for _, sol := range s.Front {
+		wantD = min(wantD, float64(sol.Damage))
+		wantC = min(wantC, float64(sol.Cost))
+		minTT = min(minTT, sol.Values[1])
+	}
+	if wantC == minTT {
+		t.Fatalf("best cost and best test time are both %v: the fixture cannot tell them apart", wantC)
+	}
+	if last.BestDamage != wantD || last.BestCost != wantC {
+		t.Errorf("OnProgress bests (damage %v, cost %v), want (%v, %v)", last.BestDamage, last.BestCost, wantD, wantC)
+	}
+	g, ok := tel.LastGeneration()
+	if !ok {
+		t.Fatal("no telemetry generation record")
+	}
+	if g != last.Generation {
+		t.Errorf("telemetry record %+v differs from the OnProgress report %+v", g, last.Generation)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -119,6 +120,36 @@ func TestMigrationOnMidStreamKill(t *testing.T) {
 			t.Errorf("healthy worker failures = %d, want 0", w.Failures)
 		}
 	}
+	logDrillState(t, p, c)
+}
+
+// logDrillState reports, on failure only, what a kill drill actually
+// did: how many requests crossed the chaos proxy (the drill scripts the
+// dispatch as request 2, after the sweep's /readyz and /metrics) and
+// each worker's health, dispatch and failure counters. A dispatch that
+// never crossed the proxy shows as fewer than 3 proxy requests and a
+// dispatch booked on the direct worker.
+func logDrillState(t *testing.T, p *chaos.Proxy, c *Coordinator) {
+	t.Helper()
+	if !t.Failed() {
+		return
+	}
+	t.Logf("proxy %s: %d requests, %d killed", p.URL(), p.Requests(), p.Killed())
+	for _, w := range c.reg.snapshot() {
+		t.Logf("worker %s: healthy=%v breaker=%v dispatched=%d failures=%d",
+			w.URL, w.Healthy, w.Breaker, w.Dispatched, w.Failures)
+	}
+	counters := c.tel.Snapshot().Counters
+	names := make([]string, 0, len(counters))
+	for name := range counters {
+		if strings.HasPrefix(name, "fleet.") {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		t.Logf("%s = %d", name, counters[name])
+	}
 }
 
 // TestMigrationStreamingClient runs the same kill drill with an SSE
@@ -205,6 +236,7 @@ func TestMigrationStreamingClient(t *testing.T) {
 	if v := c.tel.Counter("fleet.migrations").Value(); v < 1 {
 		t.Errorf("fleet.migrations = %d, want >= 1", v)
 	}
+	logDrillState(t, p, c)
 }
 
 // TestMigrationAccounting pins the "zero lost or duplicated work"

@@ -57,14 +57,6 @@ type Checkpoint struct {
 	CacheHits, CacheMisses int64
 	// DeltaEvals and FullEvals split Evaluations by evaluation path.
 	DeltaEvals, FullEvals int
-	// Islands is the island count of an island-model run (zero for a
-	// classic single-population checkpoint). An
-	// island checkpoint carries the whole lockstep state in IslandCkpts
-	// — one nested single-population checkpoint per island, in ring
-	// order — and its own Pop/Archive/Memo are empty: the top level
-	// records only the aggregate accounting.
-	Islands     int
-	IslandCkpts []*Checkpoint
 	// Pop and Archive are the live individuals at the loop top (Archive
 	// is empty for NSGA-II).
 	Pop, Archive []CheckpointIndividual
@@ -90,18 +82,12 @@ type MemoEntry struct {
 
 // ckptMagic identifies the format; the trailing byte is the version.
 // Checkpoints are transient run state, so the decoder accepts only the
-// current version (3). Its header carries the objective count and the
-// delta/full evaluation split; an island section follows the memo
-// entries: a count after the memo count and one length-prefixed nested
-// checkpoint blob per island.
+// current version (4). Its header carries the objective count and the
+// delta/full evaluation split; every section after it is fixed-size, so
+// the header determines the payload length exactly.
 var ckptMagic = [8]byte{'R', 'S', 'N', 'C', 'K', 'P', 'T', ckptVersion}
 
-const (
-	ckptVersion = 3
-	// ckptMaxIslands bounds the island count accepted by the decoder;
-	// far above any real configuration.
-	ckptMaxIslands = 4096
-)
+const ckptVersion = 4
 
 // ckptMaxBits bounds NumBits accepted by the decoder — far above any
 // real network, low enough that a hostile count cannot drive huge
@@ -115,7 +101,7 @@ func EncodeCheckpoint(cp *Checkpoint) []byte {
 	nwords := (cp.NumBits + 63) / 64
 	m := cp.headerObjectives()
 	indSize := nwords*8 + m*8 + 16
-	size := len(ckptMagic) + 1 + len(cp.Algorithm) + 89 +
+	size := len(ckptMagic) + 1 + len(cp.Algorithm) + 85 +
 		(len(cp.Pop)+len(cp.Archive))*indSize + len(cp.Memo)*(nwords*8+m*8) + 8
 	b := make([]byte, 0, size)
 	b = append(b, ckptMagic[:]...)
@@ -140,7 +126,6 @@ func EncodeCheckpoint(cp *Checkpoint) []byte {
 	b = le32(b, uint32(len(cp.Pop)))
 	b = le32(b, uint32(len(cp.Archive)))
 	b = le32(b, uint32(len(cp.Memo)))
-	b = le32(b, uint32(len(cp.IslandCkpts)))
 	for _, in := range cp.Pop {
 		b = appendGenome(b, in.Genome, nwords)
 		b = appendFloats(b, in.Obj)
@@ -156,11 +141,6 @@ func EncodeCheckpoint(cp *Checkpoint) []byte {
 	for _, e := range cp.Memo {
 		b = appendGenome(b, e.Genome, nwords)
 		b = appendFloats(b, e.Obj)
-	}
-	for _, ic := range cp.IslandCkpts {
-		blob := EncodeCheckpoint(ic)
-		b = le32(b, uint32(len(blob)))
-		b = append(b, blob...)
 	}
 	return le64(b, fnv1a(b))
 }
@@ -196,13 +176,6 @@ func (cp *Checkpoint) numObjectives() int {
 // mismatch, counts inconsistent with the payload size — returns an
 // error wrapping ErrCheckpointCorrupt; no input panics.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	return decodeCheckpoint(data, 0)
-}
-
-// decodeCheckpoint is DecodeCheckpoint with a nesting depth: island
-// sub-checkpoints (depth 1) are single-population runs and may not
-// carry islands of their own, which bounds the recursion.
-func decodeCheckpoint(data []byte, depth int) (*Checkpoint, error) {
 	if len(data) < len(ckptMagic)+8 {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than the envelope", ErrCheckpointCorrupt, len(data))
 	}
@@ -233,28 +206,24 @@ func decodeCheckpoint(data []byte, depth int) (*Checkpoint, error) {
 	npop := int(r.u32())
 	narch := int(r.u32())
 	nmemo := int(r.u32())
-	nislands := int(r.u32())
 	if r.bad {
 		return nil, fmt.Errorf("%w: truncated header", ErrCheckpointCorrupt)
 	}
 	if cp.NumBits < 0 || cp.NumBits > ckptMaxBits || m < 0 || m > 64 ||
 		cp.Generation < 0 || cp.Population < 0 || cp.Evaluations < 0 ||
-		cp.DeltaEvals < 0 || cp.FullEvals < 0 || nislands > ckptMaxIslands {
+		cp.DeltaEvals < 0 || cp.FullEvals < 0 {
 		return nil, fmt.Errorf("%w: implausible header values", ErrCheckpointCorrupt)
 	}
-	if nislands > 0 && depth > 0 {
-		return nil, fmt.Errorf("%w: nested island checkpoint", ErrCheckpointCorrupt)
-	}
-	cp.Islands = nislands
 	nwords := (cp.NumBits + 63) / 64
 	indSize := uint64(nwords)*8 + uint64(m)*8 + 16
 	memoSize := uint64(nwords)*8 + uint64(m)*8
+	if memoSize == 0 && nmemo > 0 {
+		// Zero-byte entries: the size check below cannot bound the count.
+		return nil, fmt.Errorf("%w: %d empty memo entries", ErrCheckpointCorrupt, nmemo)
+	}
 	want := uint64(npop)*indSize + uint64(narch)*indSize + uint64(nmemo)*memoSize
-	// The island blobs that follow the memo entries are length-prefixed,
-	// so only a lower bound is known here; the trailing-bytes check below
-	// closes the envelope.
-	if uint64(len(r.b)) < want {
-		return nil, fmt.Errorf("%w: payload is %d bytes, header implies at least %d", ErrCheckpointCorrupt, len(r.b), want)
+	if uint64(len(r.b)) != want {
+		return nil, fmt.Errorf("%w: payload is %d bytes, header implies %d", ErrCheckpointCorrupt, len(r.b), want)
 	}
 	readInd := func() CheckpointIndividual {
 		var in CheckpointIndividual
@@ -275,23 +244,6 @@ func decodeCheckpoint(data []byte, depth int) (*Checkpoint, error) {
 	cp.Memo = make([]MemoEntry, nmemo)
 	for i := range cp.Memo {
 		cp.Memo[i] = MemoEntry{Genome: r.genome(nwords), Obj: r.floats(m)}
-	}
-	if nislands > 0 {
-		cp.IslandCkpts = make([]*Checkpoint, nislands)
-		for i := range cp.IslandCkpts {
-			blob := r.take(int(r.u32()))
-			if r.bad {
-				return nil, fmt.Errorf("%w: truncated island section", ErrCheckpointCorrupt)
-			}
-			ic, err := decodeCheckpoint(blob, depth+1)
-			if err != nil {
-				return nil, fmt.Errorf("island %d: %w", i, err)
-			}
-			cp.IslandCkpts[i] = ic
-		}
-	}
-	if r.bad || len(r.b) != 0 {
-		return nil, fmt.Errorf("%w: trailing or missing payload bytes", ErrCheckpointCorrupt)
 	}
 	return cp, nil
 }
@@ -366,8 +318,6 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 // by the engine's parameters.
 func (e *engine) validateResume(algo string, cp *Checkpoint) error {
 	switch {
-	case cp.Islands > 0:
-		return fmt.Errorf("%w: island checkpoint (%d islands) cannot resume a single-population run", ErrCheckpointMismatch, cp.Islands)
 	case cp.Algorithm != algo:
 		return fmt.Errorf("%w: checkpoint is a %s run, resuming %s", ErrCheckpointMismatch, cp.Algorithm, algo)
 	case cp.Seed != e.par.Seed:

@@ -2,10 +2,12 @@ package moea
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -217,21 +219,55 @@ func TestCheckpointDecodeCorrupt(t *testing.T) {
 			t.Errorf("appended byte: error does not wrap ErrCheckpointCorrupt")
 		}
 	})
-	// A well-formed version 2 checkpoint: the v3 bytes without the
-	// delta/full header fields and the island count, with a valid
-	// checksum. Only the current version decodes.
+	delta := len(ckptMagic) + 1 + len(cp.Algorithm) + 57 // offset of DeltaEvals
+	counts := delta + 16                                 // pop, archive and memo counts
+	body := data[:len(data)-8]
+	// A well-formed version 2 checkpoint: the current bytes without the
+	// delta/full header fields, with a valid checksum. Only the current
+	// version decodes.
 	t.Run("v2", func(t *testing.T) {
-		delta := len(ckptMagic) + 1 + len(cp.Algorithm) + 57 // offset of DeltaEvals
-		counts := delta + 16                                 // pop, archive and memo counts
-		body := data[:len(data)-8]
 		var v2 []byte
 		v2 = append(v2, body[:delta]...)
-		v2 = append(v2, body[counts:counts+12]...)
-		v2 = append(v2, body[counts+16:]...)
+		v2 = append(v2, body[counts:]...)
 		v2[7] = 2
 		v2 = le64(v2, fnv1a(v2))
 		if _, err := DecodeCheckpoint(v2); !errors.Is(err, ErrCheckpointCorrupt) {
 			t.Errorf("version 2 checkpoint: error %v does not wrap ErrCheckpointCorrupt", err)
+		}
+	})
+	// A well-formed version 3 checkpoint: the current bytes plus a zero
+	// u32 section count after the memo count, with a valid checksum.
+	t.Run("v3", func(t *testing.T) {
+		var v3 []byte
+		v3 = append(v3, body[:counts+12]...)
+		v3 = le32(v3, 0)
+		v3 = append(v3, body[counts+12:]...)
+		v3[7] = 3
+		v3 = le64(v3, fnv1a(v3))
+		if _, err := DecodeCheckpoint(v3); !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Errorf("version 3 checkpoint: error %v does not wrap ErrCheckpointCorrupt", err)
+		}
+	})
+	// One trailing payload byte under a valid checksum: only the exact
+	// payload-size check can catch it.
+	t.Run("trailing byte", func(t *testing.T) {
+		long := append(append([]byte(nil), body...), 0)
+		long = le64(long, fnv1a(long))
+		_, err := DecodeCheckpoint(long)
+		if !errors.Is(err, ErrCheckpointCorrupt) || !strings.Contains(err.Error(), "header implies") {
+			t.Errorf("trailing payload byte: error %v, want the payload-size ErrCheckpointCorrupt", err)
+		}
+	})
+	// A million zero-byte memo entries (no genome bits, no objectives)
+	// fit in an empty payload; the count must not drive an allocation.
+	t.Run("empty memo entries", func(t *testing.T) {
+		forged := EncodeCheckpoint(&Checkpoint{Algorithm: "spea2"})
+		fbody := forged[:len(forged)-8]
+		fcounts := len(ckptMagic) + 1 + len("spea2") + 73
+		binary.LittleEndian.PutUint32(fbody[fcounts+8:], 1<<20)
+		forged = le64(append([]byte(nil), fbody...), fnv1a(fbody))
+		if _, err := DecodeCheckpoint(forged); !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Errorf("zero-size memo entries: error %v does not wrap ErrCheckpointCorrupt", err)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package moea
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -234,6 +235,125 @@ func TestParallelFor(t *testing.T) {
 					t.Fatalf("n=%d workers=%d: index %d visited %d times", n, workers, i, hits[i].Load())
 				}
 			}
+		}
+	}
+}
+
+// deltaKnapsack adds the DeltaProblem protocol to the knapsack test
+// problem: both objectives are linear, so the incremental path is exact
+// by construction. limit mirrors the production cutoff — pairs that
+// differ in more bits decline so the fallback path stays exercised.
+type deltaKnapsack struct {
+	*knapsackProblem
+	limit      int
+	deltaCalls atomic.Int64
+	declined   atomic.Int64
+}
+
+func (p *deltaKnapsack) CanDelta() bool { return true }
+
+func (p *deltaKnapsack) EvaluateDelta(g, base Genome, baseObj, out []float64) bool {
+	n := 0
+	for w := range g {
+		n += popcount(g[w] ^ base[w])
+	}
+	if n > p.limit {
+		p.declined.Add(1)
+		return false
+	}
+	var d0, d1 int64
+	for i := 0; i < p.NumBits(); i++ {
+		if g.Get(i) == base.Get(i) {
+			continue
+		}
+		if g.Get(i) {
+			d0 -= p.value[i]
+			d1 += p.cost[i]
+		} else {
+			d0 += p.value[i]
+			d1 -= p.cost[i]
+		}
+	}
+	out[0] = float64(int64(baseObj[0]) + d0)
+	out[1] = float64(int64(baseObj[1]) + d1)
+	p.deltaCalls.Add(1)
+	return true
+}
+
+func popcount(x uint64) int {
+	n := 0
+	for ; x != 0; x &= x - 1 {
+		n++
+	}
+	return n
+}
+
+// TestDeltaOracle is the exactness gate of the incremental evaluation
+// protocol at the engine level: a run over the delta-capable problem is
+// bit-identical to the plain run — same front, same accounting — while
+// actually taking the incremental path, the delta/full split sums to
+// the evaluation count, and the split is identical at every worker
+// count and with memoization on either side.
+func TestDeltaOracle(t *testing.T) {
+	plain := newKnapsack(17, 96)
+	for _, algo := range []string{"spea2", "nsga2"} {
+		for _, memoize := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/memo=%v", algo, memoize), func(t *testing.T) {
+				par := Params{Population: 40, Generations: 25, PCrossover: 0.95,
+					PMutateBit: 0.02, Seed: 5, Memoize: memoize}
+				ref := runAlgo(t, algo, plain, par)
+				if ref.DeltaEvals != 0 {
+					t.Errorf("plain problem reports %d delta evaluations", ref.DeltaEvals)
+				}
+				if ref.FullEvals != ref.Evaluations {
+					t.Errorf("plain problem: FullEvals %d != Evaluations %d", ref.FullEvals, ref.Evaluations)
+				}
+				var first *Result
+				for _, workers := range []int{1, 4} {
+					dp := &deltaKnapsack{knapsackProblem: plain, limit: 24}
+					wpar := par
+					wpar.Workers = workers
+					res := runAlgo(t, algo, dp, wpar)
+					if !frontsEqual(ref.Front, res.Front) {
+						t.Errorf("workers=%d: delta-evaluated front differs from plain run", workers)
+					}
+					if res.Evaluations != ref.Evaluations {
+						t.Errorf("workers=%d: evaluations %d, want %d", workers, res.Evaluations, ref.Evaluations)
+					}
+					if res.DeltaEvals == 0 {
+						t.Errorf("workers=%d: incremental path never taken", workers)
+					}
+					if res.DeltaEvals+res.FullEvals != res.Evaluations {
+						t.Errorf("workers=%d: delta %d + full %d != evaluations %d",
+							workers, res.DeltaEvals, res.FullEvals, res.Evaluations)
+					}
+					if dp.declined.Load()+dp.deltaCalls.Load() == 0 {
+						t.Errorf("workers=%d: EvaluateDelta never called", workers)
+					}
+					if first == nil {
+						first = res
+					} else if res.DeltaEvals != first.DeltaEvals || res.FullEvals != first.FullEvals {
+						t.Errorf("workers=%d: delta/full split (%d,%d) differs from serial (%d,%d)",
+							workers, res.DeltaEvals, res.FullEvals, first.DeltaEvals, first.FullEvals)
+					}
+				}
+
+				// A negative cutoff declines every pair (even unmutated
+				// clones, which differ in zero bits): the run must fall
+				// back to full evaluation everywhere and still match.
+				dp := &deltaKnapsack{knapsackProblem: plain, limit: -1}
+				res := runAlgo(t, algo, dp, par)
+				if !frontsEqual(ref.Front, res.Front) {
+					t.Error("fallback-only run front differs from plain run")
+				}
+				if res.DeltaEvals != 0 || res.FullEvals != res.Evaluations {
+					t.Errorf("fallback-only run: delta %d full %d evaluations %d",
+						res.DeltaEvals, res.FullEvals, res.Evaluations)
+				}
+				if dp.declined.Load() == 0 {
+					t.Error("fallback-only run: EvaluateDelta never declined")
+				}
+			})
 		}
 	}
 }

@@ -18,14 +18,6 @@ func RefPoint(maxes ...float64) []float64 {
 	return ref
 }
 
-// RefPoint2 is the fixed-arity forerunner of RefPoint.
-//
-// Deprecated: use RefPoint, which takes one extreme value per
-// objective.
-func RefPoint2(maxObj0, maxObj1 float64) []float64 {
-	return RefPoint(maxObj0, maxObj1)
-}
-
 // NormalizedHypervolume returns the dominated hypervolume as a fraction
 // of the reference box volume (the product of the ref coordinates), in
 // [0, 1]. It is the scale-free convergence indicator recorded per
@@ -40,28 +32,4 @@ func NormalizedHypervolume(front []Individual, ref []float64) float64 {
 		return 0
 	}
 	return Hypervolume(front, ref) / box
-}
-
-// HypervolumeContributions returns, for every individual of the front,
-// its exclusive hypervolume contribution: the volume lost when that
-// individual alone is removed. Dominated and out-of-box individuals
-// contribute zero, and so does every copy of a duplicated objective
-// vector (removing one copy loses nothing). The contribution is the
-// standard measure of how much a single front member matters.
-func HypervolumeContributions(front []Individual, ref []float64) []float64 {
-	out := make([]float64, len(front))
-	if len(front) == 0 {
-		return out
-	}
-	total := Hypervolume(front, ref)
-	rest := make([]Individual, 0, len(front)-1)
-	for i := range front {
-		rest = rest[:0]
-		rest = append(rest, front[:i]...)
-		rest = append(rest, front[i+1:]...)
-		if d := total - Hypervolume(rest, ref); d > 0 {
-			out[i] = d
-		}
-	}
-	return out
 }

@@ -15,9 +15,6 @@ import (
 // evaluation, buffer recycling and the OnGeneration protocol come from
 // the shared engine runtime.
 func NSGA2(p Problem, par Params) (*Result, error) {
-	if par.Islands > 1 {
-		return runIslands("nsga2", p, par)
-	}
 	e, err := newEngine(p, &par)
 	if err != nil {
 		return nil, err
@@ -56,12 +53,11 @@ func NSGA2(p Problem, par Params) (*Result, error) {
 	return e.finish(r.pop), nil
 }
 
-// nsga2Run is NSGA-II decomposed into the two phases the island driver
-// interleaves with migration. NSGA-II breeds at the top of a generation
-// (from the ranked population of the previous one), so its selection
-// phase covers breeding, the nondominated sort and the crowded
-// truncation; the breed phase is only the buffer recycle that must wait
-// until migration has decided which union members stay referenced.
+// nsga2Run is NSGA-II decomposed into two phases. NSGA-II breeds at the
+// top of a generation (from the ranked population of the previous one),
+// so its selection phase covers breeding, the nondominated sort and the
+// crowded truncation; the breed phase is only the buffer recycle, which
+// runs after the hooks have read the population.
 type nsga2Run struct {
 	e   *engine
 	pop []Individual
@@ -130,21 +126,8 @@ func (r *nsga2Run) selectPhase(gen int) error {
 
 // breedPhase recycles the non-survivors of the last selection; the
 // actual breeding happens at the top of the next selectPhase.
-func (r *nsga2Run) breedPhase() error {
+func (r *nsga2Run) breedPhase() {
 	r.e.recycle(r.lastUnion, r.pop)
-	return nil
-}
-
-// current is the set to extract a front from.
-func (r *nsga2Run) current() []Individual { return r.pop }
-
-// Island-driver hooks: NSGA-II migrates through the population, ordered
-// by the crowded comparison (rank, then crowding distance).
-func (r *nsga2Run) eng() *engine                 { return r.e }
-func (r *nsga2Run) pool() []Individual           { return r.pop }
-func (r *nsga2Run) better(a, b *Individual) bool { return crowdedLess(a, b) }
-func (r *nsga2Run) snapshot(gen int) *Checkpoint {
-	return r.e.snapshot("nsga2", gen, r.pop, nil)
 }
 
 // nsga2Tournament is NSGA-II's mating selection: the crowded-comparison

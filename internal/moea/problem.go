@@ -128,22 +128,6 @@ type Params struct {
 	// GOMAXPROCS, 1 forces serial evaluation. The result is
 	// bit-for-bit identical at every worker count.
 	Workers int
-	// Islands, when greater than 1, runs the island model: K seeded
-	// sub-populations (the total Population is split across them) evolve
-	// concurrently in generation lockstep, exchanging their best
-	// individuals along a ring every MigrationEvery generations, and the
-	// final front is the merged nondominated set. The run is a pure
-	// function of (Seed, Islands): bit-identical at any worker count.
-	// 0 and 1 select the classic single-population run.
-	Islands int
-	// MigrationEvery is the island-model migration interval in
-	// generations (default 10). Migration happens after the selection of
-	// every generation g with g > 0 and g % MigrationEvery == 0.
-	MigrationEvery int
-	// MigrationCount is the number of individuals each island sends to
-	// its ring successor per migration (default: a tenth of the island
-	// population, at least 1; clamped to the island size).
-	MigrationCount int
 	// Memoize enables the per-run genome-evaluation cache: repeated
 	// genomes (archive survivors, unmutated clones) are resolved from a
 	// content-hashed cache instead of re-evaluated. Results are
@@ -246,21 +230,6 @@ func (p *Params) normalize() error {
 	}
 	if p.CheckpointEvery > 0 && p.CheckpointFn == nil {
 		return fmt.Errorf("moea: CheckpointEvery set without a CheckpointFn")
-	}
-	if p.Islands < 0 {
-		return fmt.Errorf("moea: islands must be non-negative, got %d", p.Islands)
-	}
-	if p.Islands > 1 && p.Population < 2*p.Islands {
-		return fmt.Errorf("moea: population %d cannot seed %d islands of at least 2", p.Population, p.Islands)
-	}
-	if p.MigrationEvery < 0 {
-		return fmt.Errorf("moea: migration interval must be non-negative, got %d", p.MigrationEvery)
-	}
-	if p.MigrationCount < 0 {
-		return fmt.Errorf("moea: migration count must be non-negative, got %d", p.MigrationCount)
-	}
-	if p.MigrationEvery == 0 {
-		p.MigrationEvery = 10
 	}
 	return nil
 }

@@ -151,8 +151,7 @@ func (e *engine) writeCheckpoint(algo string, gen int, pop, archive []Individual
 
 // snapshot views the engine's current state as a checkpoint record. The
 // record aliases live buffers — valid only until the engine resumes
-// evolving. The island driver uses it directly to collect per-island
-// sub-checkpoints.
+// evolving.
 func (e *engine) snapshot(algo string, gen int, pop, archive []Individual) *Checkpoint {
 	hits, misses := e.exec.MemoStats()
 	return &Checkpoint{
@@ -382,8 +381,7 @@ func (e *engine) vary(dst []Individual, pa, pb *Individual) []Individual {
 
 // progress reads the engine's exact per-run accounting — evaluation and
 // memo-cache counters that, unlike collector-global telemetry, cannot
-// be polluted by concurrent runs sharing a collector. The island driver
-// sums it across islands.
+// be polluted by concurrent runs sharing a collector.
 func (e *engine) progress(gen int) Progress {
 	hits, misses := e.exec.MemoStats()
 	return Progress{
@@ -397,8 +395,7 @@ func (e *engine) progress(gen int) Progress {
 // hooks invokes the user callbacks (if any) on the current
 // nondominated front; it reports whether the run should continue. The
 // generation counter itself is advanced by the algorithms' selection
-// phase so that island runs (which suppress per-island hooks) still
-// count generations.
+// phase.
 func (e *engine) hooks(gen int, current []Individual) bool {
 	if e.par.OnGeneration == nil && e.par.OnProgress == nil {
 		return true

@@ -31,9 +31,6 @@ import (
 // the loop top and at evaluation-chunk boundaries; an interrupted run
 // returns a valid partial Result with Interrupted set, never an error.
 func SPEA2(p Problem, par Params) (*Result, error) {
-	if par.Islands > 1 {
-		return runIslands("spea2", p, par)
-	}
 	e, err := newEngine(p, &par)
 	if err != nil {
 		return nil, err
@@ -59,9 +56,7 @@ func SPEA2(p Problem, par Params) (*Result, error) {
 		if cerr := e.checkpointIfDue("spea2", gen, gen0, r.pop, r.archive); cerr != nil {
 			return nil, cerr
 		}
-		if err := r.selectPhase(gen); err != nil {
-			return nil, err
-		}
+		r.selectPhase(gen)
 		if !e.hooks(gen, r.archive) || gen == par.Generations-1 {
 			break
 		}
@@ -79,11 +74,11 @@ func SPEA2(p Problem, par Params) (*Result, error) {
 	return e.finish(r.current()), nil
 }
 
-// spea2Run is SPEA-2 decomposed into the two phases the island driver
-// interleaves with migration: selection (fitness over the union,
-// environmental selection into the archive) and breeding (recycle the
-// dead, tournament-select and vary the next population). The classic
-// single-population loop above is exactly selectPhase ∘ breedPhase.
+// spea2Run is SPEA-2 decomposed into its two phases: selection (fitness
+// over the union, environmental selection into the archive) and
+// breeding (recycle the dead, tournament-select and vary the next
+// population). The loop above runs selectPhase, the hooks, then
+// breedPhase.
 type spea2Run struct {
 	e       *engine
 	pop     []Individual
@@ -102,10 +97,8 @@ func newSPEA2Run(e *engine) (*spea2Run, int, error) {
 
 // selectPhase runs fitness assignment and environmental selection for
 // generation gen, leaving the new archive in place and counting the
-// generation as completed. The error is always nil (SPEA-2 evaluates
-// during breeding, not selection); the signature matches nsga2Run for
-// the island driver.
-func (r *spea2Run) selectPhase(gen int) error {
+// generation as completed.
+func (r *spea2Run) selectPhase(gen int) {
 	e := r.e
 	union := e.unionInto(r.pop, r.archive)
 	if e.m == 2 {
@@ -116,7 +109,6 @@ func (r *spea2Run) selectPhase(gen int) error {
 	}
 	r.lastUnion = union
 	e.res.Generations = gen + 1
-	return nil
 }
 
 // breedPhase recycles the non-survivors of the last selection and
@@ -136,15 +128,6 @@ func (r *spea2Run) current() []Individual {
 		return r.pop
 	}
 	return r.archive
-}
-
-// Island-driver hooks: SPEA-2 migrates through the archive, ordered by
-// its fitness F (lower is better).
-func (r *spea2Run) eng() *engine                 { return r.e }
-func (r *spea2Run) pool() []Individual           { return r.archive }
-func (r *spea2Run) better(a, b *Individual) bool { return a.fitness < b.fitness }
-func (r *spea2Run) snapshot(gen int) *Checkpoint {
-	return r.e.snapshot("spea2", gen, r.pop, r.archive)
 }
 
 // spea2Tournament is SPEA-2's mating selection: the best-fitness winner

@@ -158,9 +158,6 @@ func hardenCacheKey(req *HardenRequest) uint64 {
 	k.str("scope", o.Scope)
 	k.boolean("force", o.ForceCritical)
 	k.i64("stag", int64(o.Stagnation))
-	// Islands was canonicalized by validate (1 collapsed to 0), so the
-	// two spellings of a single-population run share one entry.
-	k.i64("islands", int64(o.Islands))
 	// Objectives were canonicalized by validate (sorted into registry
 	// order, deduplicated, default pair collapsed to empty), so a
 	// permuted spelling of the same set hashes identically.
@@ -184,8 +181,8 @@ func formatCacheKey(key uint64) string { return fmt.Sprintf("%016x", key) }
 // CacheKey returns the request's content address in wire form. The
 // request must already be canonical — validate (server side) or
 // canonicalizeKeyFields (HardenBodyCacheKey) has run — otherwise the
-// two spellings of a default (generations 0 vs 500, islands 1 vs 0,
-// permuted objectives) would hash apart.
+// two spellings of a default (generations 0 vs 500, permuted
+// objectives) would hash apart.
 func (req *HardenRequest) CacheKey() string {
 	return formatCacheKey(hardenCacheKey(req))
 }

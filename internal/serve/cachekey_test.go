@@ -54,12 +54,11 @@ func TestResultCacheDisabledSemantics(t *testing.T) {
 func TestHardenBodyCacheKeyCanonical(t *testing.T) {
 	groups := [][]string{
 		{
-			// generations absent vs the explicit default, islands 1 vs
-			// absent, default objectives spelled out (in either order) vs
-			// omitted, effort/cache knobs excluded from the key.
+			// generations absent vs the explicit default, default
+			// objectives spelled out (in either order) vs omitted,
+			// effort/cache knobs excluded from the key.
 			`{"network":{"name":"TreeFlat"},"spec":{"seed":3},"options":{"population":24,"seed":7}}`,
 			`{"network":{"name":"TreeFlat"},"spec":{"seed":3},"options":{"generations":500,"population":24,"seed":7}}`,
-			`{"network":{"name":"TreeFlat"},"spec":{"seed":3},"options":{"generations":500,"population":24,"seed":7,"islands":1}}`,
 			`{"network":{"name":"TreeFlat"},"spec":{"seed":3},"options":{"generations":500,"population":24,"seed":7,"objectives":["damage","cost"]}}`,
 			`{"network":{"name":"TreeFlat"},"spec":{"seed":3},"options":{"generations":500,"population":24,"seed":7,"objectives":["cost","damage"]}}`,
 			`{"network":{"name":"TreeFlat"},"spec":{"seed":3},"options":{"generations":500,"population":24,"seed":7,"deadline_ms":60000}}`,
@@ -75,10 +74,6 @@ func TestHardenBodyCacheKeyCanonical(t *testing.T) {
 			// with the default set.
 			`{"network":{"name":"TreeFlat"},"spec":{"seed":3},"options":{"population":24,"seed":7,"objectives":["damage","cost","test_time"]}}`,
 			`{"network":{"name":"TreeFlat"},"spec":{"seed":3},"options":{"population":24,"seed":7,"objectives":["test_time","cost","damage"]}}`,
-		},
-		{
-			// Two real islands are not a single population.
-			`{"network":{"name":"TreeFlat"},"spec":{"seed":3},"options":{"population":24,"seed":7,"islands":2}}`,
 		},
 	}
 	keys := make([]string, len(groups))
@@ -134,10 +129,10 @@ func TestCacheKeyHeaderAndJobs(t *testing.T) {
 		t.Errorf("worker stamped %s, HardenBodyCacheKey derives %s — the fleet would route on the wrong address", key, want)
 	}
 
-	// Same request, islands spelled 1 and objectives spelled out: the
-	// canonicalized key matches and the cache answers.
+	// Same request, objectives spelled out: the canonicalized key
+	// matches and the cache answers.
 	respelled := `{"network":{"name":"TreeFlat"},"spec":{"seed":3},` +
-		`"options":{"generations":20,"population":16,"seed":7,"islands":1,"objectives":["cost","damage"]}}`
+		`"options":{"generations":20,"population":16,"seed":7,"objectives":["cost","damage"]}}`
 	status, hdr2, b2 := post(t, ts, "/v1/harden", respelled)
 	if status != http.StatusOK {
 		t.Fatalf("respelled status = %d: %s", status, b2)

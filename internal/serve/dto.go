@@ -90,12 +90,6 @@ type HardenOptions struct {
 	// Stagnation stops early after N generations without hypervolume
 	// improvement (0 = full budget).
 	Stagnation int `json:"stagnation,omitempty"`
-	// Islands partitions the population into that many independently
-	// seeded sub-populations evolving in lockstep with deterministic
-	// ring migration (0 or 1 = single population; the two spellings are
-	// one cache entry). The result depends only on (seed, islands),
-	// never on the server's worker budget.
-	Islands int `json:"islands,omitempty"`
 	// Objectives names the objectives to optimize (empty = the paper's
 	// damage/cost pair). Names are validated against the registered
 	// providers and canonicalized — trimmed, deduplicated, reordered —
@@ -126,7 +120,7 @@ type HardenOptions struct {
 	// continues bit-identically to an uninterrupted run with the same
 	// parameters — same front, same exact evaluation and memo
 	// accounting. The request's options must match the checkpointed run
-	// (algorithm, seed, population, islands); a mismatch is a 400.
+	// (algorithm, seed, population); a mismatch is a 400.
 	// Resumed requests bypass the result cache in both directions.
 	Resume string `json:"resume,omitempty"`
 }
@@ -172,9 +166,6 @@ type HardenResponse struct {
 	Evaluations int    `json:"evaluations"`
 	MemoHits    int64  `json:"memo_hits"`
 	MemoMisses  int64  `json:"memo_misses"`
-	// Islands is the island count of the run, present only for
-	// multi-island requests.
-	Islands int `json:"islands,omitempty"`
 	// Objectives is the canonical objective list of the run, present
 	// only when it differs from the default damage/cost pair.
 	Objectives []string     `json:"objectives,omitempty"`
@@ -291,12 +282,6 @@ func (req *HardenRequest) validate(cfg Config) error {
 	if o.Stagnation < 0 {
 		return invalidf("stagnation: must be non-negative, got %d", o.Stagnation)
 	}
-	if o.Islands < 0 || o.Islands > 16 {
-		return invalidf("islands: %d out of range [0, 16]", o.Islands)
-	}
-	if o.Islands > 1 && o.Population > 0 && o.Population < 2*o.Islands {
-		return invalidf("islands: population %d cannot seed %d islands (need ≥ 2 per island)", o.Population, o.Islands)
-	}
 	if o.DeadlineMS < 0 {
 		return invalidf("deadline_ms: must be non-negative, got %d", o.DeadlineMS)
 	}
@@ -324,8 +309,8 @@ func (req *HardenRequest) validate(cfg Config) error {
 }
 
 // canonicalizeKeyFields normalizes, in place, exactly the option fields
-// that feed the content-addressed cache key: the generations default,
-// the single-island collapse, and the objective-set canonical form.
+// that feed the content-addressed cache key: the generations default
+// and the objective-set canonical form.
 // validate applies it after the range checks; HardenBodyCacheKey
 // applies it on its own so the fleet coordinator derives the same key a
 // worker will, without a server Config. Keeping both callers on this
@@ -334,11 +319,6 @@ func (req *HardenRequest) validate(cfg Config) error {
 func (o *HardenOptions) canonicalizeKeyFields() error {
 	if o.Generations == 0 {
 		o.Generations = 500
-	}
-	if o.Islands == 1 {
-		// A single island is the single-population run; collapse so both
-		// spellings share one cache entry.
-		o.Islands = 0
 	}
 	if len(o.Objectives) > 0 {
 		// Canonicalize in place so permutations and duplicates of the

@@ -441,7 +441,6 @@ func (s *Server) harden(ctx context.Context, req *HardenRequest, span *telemetry
 	opt.Population = o.Population
 	opt.ForceCritical = o.ForceCritical
 	opt.Stagnation = o.Stagnation
-	opt.Islands = o.Islands
 	opt.Objectives = o.Objectives
 	opt.Workers = s.cfg.EvalWorkers
 	opt.Context = ctx
@@ -473,9 +472,6 @@ func (s *Server) harden(ctx context.Context, req *HardenRequest, span *telemetry
 		MemoMisses:  syn.CacheMisses,
 		Interrupted: syn.Interrupted,
 		ElapsedMS:   float64(syn.Elapsed) / float64(time.Millisecond),
-	}
-	if syn.Islands > 1 {
-		resp.Islands = syn.Islands
 	}
 	// Only a non-default objective set surfaces on the wire: the
 	// historical damage/cost responses keep their exact shape, while a

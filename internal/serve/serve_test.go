@@ -357,10 +357,8 @@ func TestValidationErrors(t *testing.T) {
 		{"negative generations", "/v1/harden",
 			`{"network":{"name":"TreeFlat"},"options":{"generations":-1}}`, "generations"},
 		{"unknown field", "/v1/harden", `{"network":{"name":"TreeFlat"},"bogus":1}`, "body"},
-		{"islands out of range", "/v1/harden",
-			`{"network":{"name":"TreeFlat"},"options":{"islands":17}}`, "islands"},
-		{"islands vs population", "/v1/harden",
-			`{"network":{"name":"TreeFlat"},"options":{"islands":4,"population":6}}`, "islands"},
+		{"removed islands option", "/v1/harden",
+			`{"network":{"name":"TreeFlat"},"options":{"islands":2}}`, `unknown field "islands"`},
 		{"malformed ICL", "/v1/analyze", `{"network":{"icl":"segment a 4"}}`, "network"},
 	}
 	for _, tc := range cases {
@@ -373,61 +371,6 @@ func TestValidationErrors(t *testing.T) {
 				t.Errorf("error %q does not mention %q", eresp.Error, tc.wantSub)
 			}
 		})
-	}
-}
-
-// TestHardenIslandsKnob exercises the islands option end to end: the
-// run reports its island count, the knob is part of the result cache
-// key (an islands run cannot be served a single-population result),
-// and islands:1 collapses to the single-population cache entry.
-func TestHardenIslandsKnob(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	single := `{"network":{"name":"TreeFlat"},"spec":{"seed":5},
-	  "options":{"generations":30,"seed":5}}`
-	status, _, b := post(t, ts, "/v1/harden", single)
-	if status != http.StatusOK {
-		t.Fatalf("single status = %d, body %s", status, b)
-	}
-	r0 := decode[HardenResponse](t, b)
-	if r0.Islands != 0 {
-		t.Errorf("single-population response carries islands = %d", r0.Islands)
-	}
-
-	islands := `{"network":{"name":"TreeFlat"},"spec":{"seed":5},
-	  "options":{"generations":30,"seed":5,"islands":2}}`
-	status, _, b = post(t, ts, "/v1/harden", islands)
-	if status != http.StatusOK {
-		t.Fatalf("islands status = %d, body %s", status, b)
-	}
-	r2 := decode[HardenResponse](t, b)
-	if r2.Cached {
-		t.Error("islands run served the single-population cache entry")
-	}
-	if r2.Islands != 2 {
-		t.Errorf("islands response reports %d islands, want 2", r2.Islands)
-	}
-	if len(r2.Front) == 0 {
-		t.Fatal("islands run returned an empty front")
-	}
-
-	// Same request again: a cache hit, preserving the island count.
-	status, _, b = post(t, ts, "/v1/harden", islands)
-	if status != http.StatusOK {
-		t.Fatalf("islands rerun status = %d, body %s", status, b)
-	}
-	if r := decode[HardenResponse](t, b); !r.Cached || r.Islands != 2 {
-		t.Errorf("islands rerun cached=%v islands=%d, want cached with 2 islands", r.Cached, r.Islands)
-	}
-
-	// islands:1 is the single-population run and shares its cache entry.
-	one := `{"network":{"name":"TreeFlat"},"spec":{"seed":5},
-	  "options":{"generations":30,"seed":5,"islands":1}}`
-	status, _, b = post(t, ts, "/v1/harden", one)
-	if status != http.StatusOK {
-		t.Fatalf("islands=1 status = %d, body %s", status, b)
-	}
-	if r := decode[HardenResponse](t, b); !r.Cached || r.Islands != 0 {
-		t.Errorf("islands=1 cached=%v islands=%d, want the single-population cache entry", r.Cached, r.Islands)
 	}
 }
 
